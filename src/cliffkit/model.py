@@ -1,12 +1,12 @@
 """Edge-conditioned message passing network over molecular graphs.
 
-The forward pass embeds atom and bond features, runs a fixed number of
-edge-conditioned convolution layers (each bond's embedding is mapped to
-a hidden x hidden matrix that transforms the neighbor state), then
-reads the graph out twice through boolean atom masks: one readout over
-the atoms a pair has in common, one over the rest. Two group-tagged
-head layers process the readouts and a combine/output stack produces
-the scalar affinity.
+The forward pass embeds atom features, runs a fixed number of
+bond-typed convolution layers (one hidden x hidden matrix per bond
+feature plus a bias matrix; a bond's message matrix is their sum
+weighted by its feature row), then reads the graph out twice through
+boolean atom masks: one readout over the atoms a pair has in common,
+one over the rest. Two group-tagged head layers process the readouts
+and a combine/output stack produces the scalar affinity.
 
 Masks are per-pair inputs. Standalone prediction uses all-true masks,
 so a single compound is scored without reference to any partner.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +75,10 @@ def _layer_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, s
     specs: list[tuple[str, tuple[int, ...], int, str]] = [
         ("node_embed.weight", (config.atom_feature_width, h), config.atom_feature_width, "other"),
         ("node_embed.bias", (h,), config.atom_feature_width, "other"),
-        ("edge_embed.weight", (config.bond_feature_width, h), config.bond_feature_width, "other"),
-        ("edge_embed.bias", (h,), config.bond_feature_width, "other"),
     ]
     for layer in range(config.message_layers):
-        specs += [
-            (f"conv{layer}.edge_net.weight", (h, h * h), h, "other"),
+        specs += [  # each bond feature's h x h edge block maps a hidden state: fan-in h
+            (f"conv{layer}.edge_net.weight", (config.bond_feature_width, h * h), h, "other"),
             (f"conv{layer}.edge_net.bias", (h * h,), h, "other"),
             (f"conv{layer}.root.weight", (h, h), h, "other"),
             (f"conv{layer}.root.bias", (h,), h, "other"),
@@ -258,7 +256,6 @@ def forward_from_arrays(
     edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
 
     h = binding.linear("node_embed", x)
-    e_emb = binding.linear("edge_embed", e)
     receiver = edge_index[:, 0]
     neighbor = edge_index[:, 1]
 
@@ -267,7 +264,7 @@ def forward_from_arrays(
     for layer in range(cfg.message_layers):
         rooted = binding.linear(f"conv{layer}.root", h)
         if edge_index.shape[0] > 0:
-            wflat = binding.linear(f"conv{layer}.edge_net", e_emb)
+            wflat = binding.linear(f"conv{layer}.edge_net", e)
             messages = ad.edge_messages(wflat, h, neighbor)
             agg = ad.scatter_mean(messages, receiver, n)
             pre = ad.add(rooted, agg)

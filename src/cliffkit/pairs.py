@@ -291,7 +291,7 @@ def _evaluate_candidate(args) -> CliffPair | None:
 
 
 def worker_count() -> int:
-    """Worker cap from ``CLIFFKIT_THREADS``; defaults to sequential."""
+    """Worker cap from ``CLIFFKIT_THREADS``, at most the CPU count; defaults to sequential."""
     raw = os.environ.get("CLIFFKIT_THREADS", "")
     if not raw:
         return 1
@@ -299,7 +299,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ValueError(f"CLIFFKIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def generate_cliff_pairs(

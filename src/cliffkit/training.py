@@ -35,7 +35,7 @@ from .model import (
 from .autodiff import Parameter, Tape
 from .pairs import CliffPair, DatasetSplit
 
-CHECKPOINT_SCHEMA = "mpnn-ckpt/1"
+CHECKPOINT_SCHEMA = "mpnn-ckpt/2"
 CHECKPOINT_MAGIC = b"MPNNCKPT"
 
 
@@ -116,28 +116,51 @@ class TrainReport:
 
 
 class AdamState:
-    """First/second moment accumulators, one slot per parameter."""
+    """First/second moments of all parameters, flattened in parameter order.
+
+    ``update`` runs each step of the rule as one array operation over
+    every parameter, in preallocated buffers, and subtracts the step from
+    the parameter arrays in place. Tape leaves alias ``p.value``, so it
+    must run after ``Tape.backward`` of the step, never while a tape that
+    will still be swept holds those arrays.
+    """
 
     def __init__(self, model: MpnnModel, config: TrainConfig):
         self.config = config
         self.step = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in model.params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in model.params.items()}
+        self.names = list(model.params)
+        size = sum(p.value.size for p in model.params.values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._grad = np.empty(size)
+        self._scratch = (np.empty(size), np.empty(size))
+        # per-parameter views of the first scratch buffer, which ends up holding the step
+        self._steps = []
+        offset = 0
+        for p in model.params.values():
+            self._steps.append(self._scratch[0][offset : offset + p.value.size].reshape(p.value.shape))
+            offset += p.value.size
 
     def update(self, model: MpnnModel, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
         self.step += 1
         bc1 = 1.0 - cfg.beta1 ** self.step
         bc2 = 1.0 - cfg.beta2 ** self.step
-        for name, p in model.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p.value = p.value - cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        g, m, v = self._grad, self.m, self.v
+        a, b = self._scratch
+        np.concatenate([grads[name].ravel() for name in self.names], out=g)
+        # same operation order as m += (1-b1)*g; v += (1-b2)*g*g;
+        # p -= lr*(m/bc1) / (sqrt(v/bc2)+eps), so results are bit-identical
+        m *= cfg.beta1
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(cfg.learning_rate, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
+        np.divide(a, b, out=a)
+        for name, step in zip(self.names, self._steps):
+            model.params[name].value -= step
 
 
 def _pair_update(
@@ -355,7 +378,10 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[MpnnModel, LossConfig, dict]:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from None
     cursor += header_len
     if header.get("schema") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(f"unsupported checkpoint schema {header.get('schema')!r}")
+        raise CheckpointError(
+            f"unsupported checkpoint schema {header.get('schema')!r}; "
+            f"this build reads {CHECKPOINT_SCHEMA!r}"
+        )
     payload = np.frombuffer(blob[cursor:], dtype="<f8")
     if payload.size != header["payload_doubles"]:
         raise CheckpointError(

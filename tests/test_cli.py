@@ -251,6 +251,18 @@ def test_eval_rerun_matches_bytes(workspace, tmp_path):
     assert open(first, "rb").read() == open(second, "rb").read()
 
 
+def test_schema_1_checkpoint_exits_2(workspace, tmp_path, capsys):
+    blob = open(workspace["ckpt_n"], "rb").read()
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(blob.replace(b'"schema":"mpnn-ckpt/2"', b'"schema":"mpnn-ckpt/1"'))
+    code = main([
+        "eval", "--pairs", workspace["pairs"], "--checkpoint", str(old),
+        "--out", str(tmp_path / "r.json"), "--methods", "cam",
+    ])
+    assert code == 2
+    assert "mpnn-ckpt/1" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main([
         "pairs", "--compounds", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "p.jsonl"),

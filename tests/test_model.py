@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cliffkit.model import (
+    BN_EPS,
     CompatibilityError,
     ModelConfig,
     UninitializedStatsError,
@@ -38,7 +39,7 @@ def test_init_is_seed_deterministic_and_bounded():
         elif name.endswith(".bn.shift"):
             assert np.all(p.value == 0.0)
         else:
-            fan_in = {"node_embed": 26, "edge_embed": 5}.get(name.split(".")[0])
+            fan_in = {"node_embed": 26, "edge_net": 8}.get(name.split(".")[-2])
             if fan_in is None:
                 continue
             assert np.all(np.abs(p.value) <= 1.0 / np.sqrt(fan_in))
@@ -57,17 +58,66 @@ def test_parameter_count_closed_form():
     for h in (4, 16, 64):
         cfg = ModelConfig(hidden_dim=h)
         model = init_parameters(cfg, seed=0)
-        # embeds + 3 conv layers (edge_net, root, norm) + heads + combine + out
+        # node embed + 3 conv layers (bond-typed edge_net, root, norm) + heads + combine + out
         expect = (
             (26 * h + h)
-            + (5 * h + h)
-            + 3 * ((h * h * h + h * h) + (h * h + h) + 2 * h)
+            + 3 * ((5 * h * h + h * h) + (h * h + h) + 2 * h)
             + 2 * (h * h + h)
             + 2 * (h + 1)
             + (2 * h * h + h)
             + (h + 1)
         )
         assert model.parameter_vector_size() == expect
+    assert model.parameter_vector_size() == 105_091  # h = 64, the CLI default
+
+
+def _reference_prediction(model, graph, common, embed, nets):
+    """The network in plain numpy, with each layer's edge matrices from a bond
+    embedding ``e @ We + be`` mapped by ``@ Wn + bn``, edge by edge."""
+    P = {name: p.value for name, p in model.params.items()}
+    hdim = model.config.hidden_dim
+    e, idx = bond_features(graph)
+    h = atom_features(graph) @ P["node_embed.weight"] + P["node_embed.bias"]
+    we, be = embed
+    for layer, (wn, bn) in enumerate(nets):
+        pre = h @ P[f"conv{layer}.root.weight"] + P[f"conv{layer}.root.bias"]
+        agg = np.zeros_like(pre)
+        count = np.zeros(len(pre))
+        for (receiver, neighbor), row in zip(idx, e):
+            matrix = ((row @ we + be) @ wn + bn).reshape(hdim, hdim)
+            agg[receiver] += matrix @ h[neighbor]
+            count[receiver] += 1
+        pre = pre + agg / np.maximum(count, 1)[:, None]
+        normed = (pre - pre.mean(axis=0)) / np.sqrt(pre.var(axis=0) + BN_EPS)
+        h = np.maximum(P[f"conv{layer}.bn.scale"] * normed + P[f"conv{layer}.bn.shift"], 0.0)
+    a_cn = h[common].mean(axis=0) @ P["head_cn.weight"] + P["head_cn.bias"]
+    a_ucn = h[~common].mean(axis=0) @ P["head_ucn.weight"] + P["head_ucn.bias"]
+    combined = np.concatenate([a_cn, a_ucn]) @ P["combine.weight"] + P["combine.bias"]
+    return float((combined @ P["out.weight"] + P["out.bias"])[0])
+
+
+def test_bond_typed_edge_net_composes_the_two_layer_edge_network():
+    # a linear bond embedding followed by a linear hidden-to-matrix layer is
+    # one affine map of the bond row: the same function class as edge_net
+    rng = np.random.default_rng(7)
+    cfg = ModelConfig(hidden_dim=6)
+    h, w = cfg.hidden_dim, cfg.bond_feature_width
+    model = init_parameters(cfg, seed=3)
+    for layer in range(cfg.message_layers):
+        for part in ("scale", "shift"):
+            model.params[f"conv{layer}.bn.{part}"].value = rng.uniform(0.5, 1.5, size=h)
+    embed = (rng.normal(size=(w, h)), rng.normal(size=h))
+    nets = []
+    for layer in range(cfg.message_layers):
+        wn, bn = rng.normal(size=(h, h * h)) / h, rng.normal(size=h * h) / h
+        model.params[f"conv{layer}.edge_net.weight"].value = embed[0] @ wn
+        model.params[f"conv{layer}.edge_net.bias"].value = embed[1] @ wn + bn
+        nets.append((wn, bn))
+    for smi in ("CC(=O)Oc1ccccc1", "C1CC1C#N", "OC=CCl"):
+        g = parse_smiles(smi)
+        common = np.arange(g.num_atoms) % 2 == 0
+        got = forward(model, g, common, ~common, train=True).prediction
+        assert abs(got - _reference_prediction(model, g, common, embed, nets)) < 1e-10
 
 
 def test_zero_model_predicts_zero():

@@ -21,6 +21,7 @@ from cliffkit.pairs import (
     read_compounds_csv,
     read_pairs_jsonl,
     split_pairs,
+    worker_count,
     write_compounds_csv,
     write_pairs_jsonl,
 )
@@ -503,3 +504,14 @@ def test_pair_gen_config_validation():
         PairGenConfig(min_activity_delta=-0.1)
     with pytest.raises(ValueError):
         PairGenConfig(min_pairs_per_target=0)
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    # only the count is computed; no pool is started
+    monkeypatch.setenv("CLIFFKIT_THREADS", "64")
+    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: 2)
+    assert worker_count() == 2
+    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: None)
+    assert worker_count() == 1
+    monkeypatch.setenv("CLIFFKIT_THREADS", "0")
+    assert worker_count() == 1

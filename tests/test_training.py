@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -149,6 +151,33 @@ def test_adam_first_step_has_learning_rate_magnitude():
         assert np.allclose(step, lr / (1.0 + 1e-8), atol=1e-12)
 
 
+def test_adam_in_place_step_matches_allocating_formula_bitwise():
+    model = init_parameters(SMALL, seed=6)
+    cfg = TrainConfig(learning_rate=0.01, beta2=0.99)
+    adam = AdamState(model, cfg)
+    rng = np.random.default_rng(3)
+    arrays = {name: p.value for name, p in model.params.items()}
+    expect = {name: p.value.copy() for name, p in model.params.items()}
+    m = {name: np.zeros_like(v) for name, v in expect.items()}
+    v = {name: np.zeros_like(x) for name, x in expect.items()}
+    for step in (1, 2, 3):
+        grads = {name: rng.normal(size=x.shape) for name, x in expect.items()}
+        adam.update(model, grads)
+        bc1 = 1.0 - cfg.beta1 ** step
+        bc2 = 1.0 - cfg.beta2 ** step
+        for name, g in grads.items():
+            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+            expect[name] = expect[name] - cfg.learning_rate * (m[name] / bc1) / (
+                np.sqrt(v[name] / bc2) + cfg.eps
+            )
+        for name, p in model.params.items():
+            assert p.value is arrays[name]  # updated in place
+            assert np.array_equal(p.value, expect[name])
+        assert np.array_equal(adam.m, np.concatenate([m[name].ravel() for name in arrays]))
+        assert np.array_equal(adam.v, np.concatenate([v[name].ravel() for name in arrays]))
+
+
 def test_evaluate_split_orders_and_counts():
     model = init_parameters(SMALL, seed=0)
     best, _ = train(model, SPLIT, LossConfig(variant="n"), FAST)
@@ -201,9 +230,25 @@ def test_checkpoint_rejects_corruption():
     with pytest.raises(CheckpointError, match="payload"):
         load_checkpoint_bytes(blob[:-16])
     # flip the schema string inside the header
-    bad = blob.replace(b"mpnn-ckpt/1", b"mpnn-ckpt/9")
+    bad = blob.replace(b"mpnn-ckpt/2", b"mpnn-ckpt/9")
     with pytest.raises(CheckpointError, match="schema"):
         load_checkpoint_bytes(bad)
+
+
+def schema_1_blob(model) -> bytes:
+    """A checkpoint whose header carries the previous schema tag."""
+    blob = checkpoint_bytes(model, LossConfig(variant="n"))
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + length])
+    header["schema"] = "mpnn-ckpt/1"
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + length :]
+
+
+def test_checkpoint_refuses_schema_1():
+    # schema 1 held a separate bond embedding; its edge networks do not load
+    with pytest.raises(CheckpointError, match="mpnn-ckpt/1"):
+        load_checkpoint_bytes(schema_1_blob(init_parameters(SMALL, seed=0)))
 
 
 def test_checkpoint_parameter_set_must_match_config():
