@@ -5,7 +5,9 @@ maximum common substructure covers at least a configured fraction of
 both molecules while their activities differ by at least a configured
 number of log units. The common substructure search is exact (connected
 induced common subgraph, maximum cardinality) with a step budget that
-degrades gracefully to best-so-far on pathological inputs.
+degrades gracefully to best-so-far on pathological inputs. It is bounded
+by atom label classes: the mapping can grow by at most, summed over
+labels, the smaller of the free atom counts of that label on either side.
 
 Also home to the synthetic benchmark generator: scaffolds decorated at
 a fixed site with planted additive effects, so downstream numbers have
@@ -35,6 +37,8 @@ class McsResult:
     Among all maximum mappings the lexicographically smallest pair
     sequence is returned, so results are reproducible. ``truncated``
     marks searches that hit the step budget and may be undersized.
+    ``steps`` counts the search's backtracking steps; it is a diagnostic
+    and takes no part in equality.
     """
 
     mapping: tuple[tuple[int, int], ...]
@@ -42,6 +46,7 @@ class McsResult:
     fraction_1: float
     fraction_2: float
     truncated: bool = False
+    steps: int = field(default=0, compare=False)
 
     @property
     def fraction(self) -> float:
@@ -50,7 +55,18 @@ class McsResult:
 
 
 class _McsSearch:
-    """Branch and bound over connected common induced subgraph mappings."""
+    """Branch and bound over connected common induced subgraph mappings.
+
+    A mapping grows along g1's bonds from a root atom. At each step the
+    lowest unmapped, unbanned g1 neighbour ``a`` of the mapping is mapped
+    to each fitting g2 atom in ascending order, then banned. The fitting
+    atoms are the unused same-label neighbours of the image of one mapped
+    neighbour of ``a``, and a check visits only ``a``'s bonds, so a step
+    costs the atoms' degrees, not the mapping's size. A branch is cut when
+    the mapping plus, per atom label, the smaller of the free g1 and unused
+    g2 counts cannot reach the best size found: McSplit's label-class bound
+    (McCreesh, Prosser & Trimble, IJCAI 2017). Atom sets are int bitsets.
+    """
 
     def __init__(self, g1: MolecularGraph, g2: MolecularGraph, budget: int):
         self.g1 = g1
@@ -58,93 +74,143 @@ class _McsSearch:
         self.budget = budget
         self.truncated = False
         self.best: list[tuple[int, int]] = []
-        self.order1 = {}
+        labels: dict[tuple[str, bool], int] = {}
+        self.label1 = [labels.setdefault((x.element, x.aromatic), len(labels)) for x in g1.atoms]
+        self.label2 = [labels.setdefault((x.element, x.aromatic), len(labels)) for x in g2.atoms]
+        self.bonds1: list[list[tuple[int, str]]] = [[] for _ in g1.atoms]
+        self.neighbors1 = [0] * g1.num_atoms
         for b in g1.bonds:
-            self.order1[(b.i, b.j)] = b.order
-            self.order1[(b.j, b.i)] = b.order
-        self.order2 = {}
+            self.bonds1[b.i].append((b.j, b.order))
+            self.bonds1[b.j].append((b.i, b.order))
+            self.neighbors1[b.i] |= 1 << b.j
+            self.neighbors1[b.j] |= 1 << b.i
+        self.bonds2: list[dict[int, str]] = [{} for _ in g2.atoms]
+        self.neighbors2 = [0] * g2.num_atoms
         for b in g2.bonds:
-            self.order2[(b.i, b.j)] = b.order
-            self.order2[(b.j, b.i)] = b.order
-        self.compat = [
-            [
-                j
-                for j, b_atom in enumerate(g2.atoms)
-                if b_atom.element == a_atom.element and b_atom.aromatic == a_atom.aromatic
-            ]
-            for a_atom in g1.atoms
-        ]
+            self.bonds2[b.i][b.j] = b.order
+            self.bonds2[b.j][b.i] = b.order
+            self.neighbors2[b.i] |= 1 << b.j
+            self.neighbors2[b.j] |= 1 << b.i
+        self.with_label2 = [0] * len(labels)
+        for j, lab in enumerate(self.label2):
+            self.with_label2[lab] |= 1 << j
+        self.image = [-1] * g1.num_atoms  # g2 atom mapped to each g1 atom, -1 if none
+        self.mapped: list[int] = []  # g1 atoms in the mapping
+        # Free (unmapped, unbanned) g1 and unused g2 atoms per label, and
+        # the bound's sum over labels of the smaller of the two.
+        self.free1 = [0] * len(labels)
+        self.free2 = [0] * len(labels)
+        for lab in self.label1:
+            self.free1[lab] += 1
+        for lab in self.label2:
+            self.free2[lab] += 1
+        self.slack = sum(map(min, self.free1, self.free2))
 
-    def _consistent(self, a: int, b: int, mapping: dict[int, int]) -> bool:
-        for a2, b2 in mapping.items():
-            e1 = self.order1.get((a, a2))
-            e2 = self.order2.get((b, b2))
-            if (e1 is None) != (e2 is None) or (e1 is not None and e1 != e2):
-                return False
-        return True
+    def _map(self, a: int, b: int) -> None:
+        # Both counts of one label fall by one, so the slack falls by one.
+        self.image[a] = b
+        self.mapped.append(a)
+        self.free1[self.label1[a]] -= 1
+        self.free2[self.label2[b]] -= 1
+        self.slack -= 1
 
-    def _consider(self, mapping: dict[int, int]) -> None:
-        if len(mapping) < len(self.best):
+    def _unmap(self, a: int, b: int) -> None:
+        self.image[a] = -1
+        self.mapped.pop()
+        self.free1[self.label1[a]] += 1
+        self.free2[self.label2[b]] += 1
+        self.slack += 1
+
+    def _ban(self, a: int) -> None:
+        lab = self.label1[a]
+        if self.free1[lab] <= self.free2[lab]:
+            self.slack -= 1
+        self.free1[lab] -= 1
+
+    def _unban(self, a: int) -> None:
+        lab = self.label1[a]
+        self.free1[lab] += 1
+        if self.free1[lab] <= self.free2[lab]:
+            self.slack += 1
+
+    def _consider(self) -> None:
+        if len(self.mapped) < len(self.best):
             return
-        candidate = sorted(mapping.items())
-        if len(mapping) > len(self.best) or candidate < self.best:
+        candidate = sorted((a, self.image[a]) for a in self.mapped)
+        if len(candidate) > len(self.best) or candidate < self.best:
             self.best = candidate
 
-    def _extend(self, mapping: dict[int, int], used2: set[int], banned: set[int]) -> None:
+    def _extend(self, frontier: int, closed: int, used: int) -> None:
+        """``frontier``: unmapped, unbanned g1 neighbours of the mapping;
+        ``closed``: mapped or banned g1 atoms; ``used``: mapped g2 atoms."""
         if self.budget <= 0:
             self.truncated = True
             return
         self.budget -= 1
-        self._consider(mapping)
-        frontier = set()
-        for a in mapping:
-            for a2 in self.g1.neighbors(a):
-                if a2 not in mapping and a2 not in banned:
-                    frontier.add(a2)
+        self._consider()
         if not frontier:
             return
-        # Upper bound: every remaining eligible atom on both sides joins.
-        # banned and mapping are disjoint (only unmapped atoms get banned).
-        eligible1 = self.g1.num_atoms - len(mapping) - len(banned)
-        remaining = len(mapping) + min(eligible1, self.g2.num_atoms - len(mapping))
-        if remaining < len(self.best):
+        if len(self.mapped) + self.slack < len(self.best):
             return
-        a = min(frontier)
-        for b in self.compat[a]:
-            if b in used2 or not self._consistent(a, b, mapping):
+        bit = frontier & -frontier
+        a = bit.bit_length() - 1
+        closed |= bit
+        # A fitting b has bonds of the same orders to the images of a's
+        # mapped neighbours and no bond to any other used atom.
+        links = [(self.image[y], order) for y, order in self.bonds1[a] if self.image[y] >= 0]
+        want = 0
+        for yb, _ in links:
+            want |= 1 << yb
+        grown = (frontier | self.neighbors1[a]) & ~closed
+        fits = self.neighbors2[links[0][0]] & self.with_label2[self.label1[a]] & ~used
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            b = low.bit_length() - 1
+            if self.neighbors2[b] & used != want:
                 continue
-            mapping[a] = b
-            used2.add(b)
-            self._extend(mapping, used2, banned)
-            del mapping[a]
-            used2.remove(b)
+            bonds = self.bonds2[b]
+            if any(bonds[yb] != order for yb, order in links):
+                continue
+            self._map(a, b)
+            self._extend(grown, closed, used | low)
+            self._unmap(a, b)
             if self.truncated:
                 return
-        banned.add(a)
-        self._extend(mapping, used2, banned)
-        banned.remove(a)
+        self._ban(a)
+        self._extend(frontier ^ bit, closed, used)
+        self._unban(a)
 
     def run(self) -> McsResult:
-        for start in range(self.g1.num_atoms):
+        n1 = self.g1.num_atoms
+        budget = self.budget
+        for start in range(n1):
             # Mappings rooted here have size <= n1 - start and are lex-greater
             # than any equal-sized mapping already found at an earlier start.
-            if self.best and self.g1.num_atoms - start <= len(self.best):
+            if self.best and n1 - start <= len(self.best):
                 break
-            banned = set(range(start))
-            for b in self.compat[start]:
-                self._extend({start: b}, {b}, banned)
+            closed = (2 << start) - 1  # earlier roots stay banned
+            frontier = self.neighbors1[start] & ~closed
+            for b in range(self.g2.num_atoms):
+                if self.label2[b] != self.label1[start]:
+                    continue
+                self._map(start, b)
+                self._extend(frontier, closed, 1 << b)
+                self._unmap(start, b)
                 if self.truncated:
                     break
             if self.truncated:
                 break
+            self._ban(start)
         mapping = tuple(self.best)
         size = len(mapping)
         return McsResult(
             mapping=mapping,
             size=size,
-            fraction_1=size / self.g1.num_atoms,
+            fraction_1=size / n1,
             fraction_2=size / self.g2.num_atoms,
             truncated=self.truncated,
+            steps=budget - self.budget,
         )
 
 

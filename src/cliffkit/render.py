@@ -9,6 +9,7 @@ by the maximum absolute value.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -29,13 +30,20 @@ def layout_seed(compound_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@functools.lru_cache(maxsize=1024)
 def spring_layout(graph: MolecularGraph, compound_id: str, iterations: int = 220) -> np.ndarray:
-    """Fruchterman-Reingold embedding, float64, fully seeded."""
+    """Fruchterman-Reingold embedding, float64, fully seeded.
+
+    The layout depends only on its arguments, so it is computed once per
+    graph and compound id and shared: the returned array is read-only.
+    """
     n = graph.num_atoms
     rng = np.random.default_rng(layout_seed(compound_id))
     pos = rng.uniform(-1.0, 1.0, size=(n, 2))
     if n == 1:
-        return np.zeros((1, 2))
+        pos = np.zeros((1, 2))
+        pos.flags.writeable = False
+        return pos
     k = 1.0 / np.sqrt(n)
     edges = np.array([(b.i, b.j) for b in graph.bonds], dtype=np.int64).reshape(-1, 2)
     temperature = 0.18
@@ -63,6 +71,7 @@ def spring_layout(graph: MolecularGraph, compound_id: str, iterations: int = 220
     spread = np.abs(pos).max()
     if spread > 0:
         pos = pos / spread
+    pos.flags.writeable = False
     return pos
 
 

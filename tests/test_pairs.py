@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,8 +31,11 @@ from cliffkit.pairs import (
 # ---------------------------------------------------------------------------
 # brute-force reference for the substructure search
 
-def brute_mcs_size(g1, g2):
-    """Largest connected induced common subgraph by exhaustive extension."""
+def brute_mcs(g1, g2):
+    """Lexicographically smallest maximum connected induced common mapping.
+
+    Exhaustive extension; returns the (g1, g2) pairs sorted by g1 index.
+    """
 
     def atom_ok(a, b):
         x, y = g1.atoms[a], g2.atoms[b]
@@ -47,7 +51,7 @@ def brute_mcs_size(g1, g2):
                 return False
         return True
 
-    best = 0
+    best = ()
     seen = set()
 
     def extend(mapping):
@@ -56,7 +60,9 @@ def brute_mcs_size(g1, g2):
         if key in seen:
             return
         seen.add(key)
-        best = max(best, len(mapping))
+        candidate = tuple(sorted(mapping.items()))
+        if len(candidate) > len(best) or (len(candidate) == len(best) and candidate < best):
+            best = candidate
         frontier = {
             n
             for a in mapping
@@ -111,7 +117,7 @@ def test_mcs_hand_cases():
         g1, g2 = parse_smiles(smi1), parse_smiles(smi2)
         res = max_common_substructure(g1, g2)
         assert res.size == size, (smi1, smi2, res.size)
-        assert res.size == brute_mcs_size(g1, g2)
+        assert res.size == len(brute_mcs(g1, g2))
         assert not res.truncated
 
 
@@ -159,7 +165,8 @@ def test_mcs_matches_brute_force_on_random_pairs():
         g1, g2 = random_molecule(rng, 8), random_molecule(rng, 8)
         res = max_common_substructure(g1, g2)
         assert not res.truncated
-        assert res.size == brute_mcs_size(g1, g2)
+        assert res.mapping == brute_mcs(g1, g2)
+        assert res.size == len(res.mapping)
 
 
 def test_mcs_deterministic_tie_break():
@@ -170,6 +177,19 @@ def test_mcs_deterministic_tie_break():
     assert res.mapping == ((0, 0), (1, 1))
     again = max_common_substructure(g1, g2)
     assert res.mapping == again.mapping
+
+
+def test_mcs_tert_butyl_pair_is_solved_exactly():
+    # Two tert-butyl groups and a morpholine give many equivalent partial
+    # mappings; the bound must settle them well inside the step budget.
+    g1 = parse_smiles("Nc1ncnc2n(C(C)(C)C)nc(-c3ccc(C(C)(C)C)c(N%81CCOCC%81)c3)c12")
+    g2 = parse_smiles("Nc1ncnc2n(C(C)(C)C)nc(-c3ccc(C(F)(F)F)c(N(C)C)c3)c12")
+    res = max_common_substructure(g1, g2)
+    assert not res.truncated
+    assert res.size == 24
+    assert 0 < res.steps < 20_000
+    # steps is a diagnostic, not part of the result's identity
+    assert res == dataclasses.replace(res, steps=0)
 
 
 def test_mcs_budget_truncation():
@@ -224,6 +244,20 @@ def test_generate_cliff_pairs_gates():
     assert [p.pair_id for p in pairs] == ["T1:A|B", "T1:B|C"]
     # raising the floor drops the whole target
     assert generate_cliff_pairs(compounds, PairGenConfig(min_pairs_per_target=3)) == []
+
+
+def test_generate_cliff_pairs_worker_pool_matches_sequential(monkeypatch):
+    data = generate_synthetic_dataset(SyntheticConfig(n_scaffolds=2, n_decorations=12, seed=5))
+    config = PairGenConfig(min_pairs_per_target=1)
+    monkeypatch.delenv("CLIFFKIT_THREADS", raising=False)
+    sequential = generate_cliff_pairs(list(data.compounds), config)
+    # two workers even on a one-core machine; the cap keeps it at two
+    monkeypatch.setenv("CLIFFKIT_THREADS", "2")
+    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: 2)
+    assert worker_count() == 2
+    pooled = generate_cliff_pairs(list(data.compounds), config)
+    assert len(sequential) > 10
+    assert [pair_to_record(p) for p in pooled] == [pair_to_record(p) for p in sequential]
 
 
 def test_generate_pairs_cross_target_never_pairs():
