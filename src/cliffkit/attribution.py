@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ForwardTrace, MpnnModel, forward, forward_from_arrays
-from .molgraph import MolecularGraph, atom_features, bond_features
+from .molgraph import MolecularGraph
 from .pairs import CliffPair
 
 METHODS = ("cam", "gradcam", "gradinput", "ig")
@@ -134,11 +134,8 @@ def attribute_all(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown attribution method {m!r}; expected one of {METHODS}")
-    x_array = atom_features(graph)
-    e_array, edge_index = bond_features(graph)
-    n = graph.num_atoms
-    mask = np.ones(n, dtype=bool)
-    trace = forward_from_arrays(model, x_array, e_array, edge_index, mask, mask)
+    trace = forward(model, graph)
+    x_array, e_array = trace.x.value, trace.e.value
     ref = model.digest()
     need_grads = any(m in methods for m in ("gradcam", "gradinput"))
     if need_grads:
@@ -157,7 +154,9 @@ def attribute_all(
             edge = (ge * e_array).sum(axis=1)
             out[method] = AttributionMap(method, node, edge, ref)
         elif method == "ig":
-            node, edge = _integrated_gradients(model, x_array, e_array, edge_index, config.ig_steps)
+            node, edge = _integrated_gradients(
+                model, x_array, e_array, trace.edge_index, config.ig_steps
+            )
             out[method] = AttributionMap(method, node, edge, ref)
     return out
 

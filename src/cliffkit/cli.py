@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .losses import LossConfig, VARIANTS
 from .model import CompatibilityError, ModelConfig, init_parameters
-from .molgraph import DEFAULT_FEATURES
+from .molgraph import ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH
 from .pairs import (
     PairGenConfig,
     SyntheticConfig,
@@ -322,7 +322,7 @@ def cmd_eval(args) -> int:
     models = []
     for ckpt in checkpoints:
         model, loss_config, header = load_checkpoint(ckpt)
-        width = DEFAULT_FEATURES.atom_feature_width, DEFAULT_FEATURES.bond_feature_width
+        width = ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH
         have = model.config.atom_feature_width, model.config.bond_feature_width
         if have != width:
             raise CompatibilityError(
@@ -448,11 +448,26 @@ def cmd_render(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            where = f"{args.attributions}:{line_num}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object")
             if record.get("kind") == "header":
                 continue
             if record.get("schema") != ATTRIBUTION_SCHEMA:
-                raise ValueError(f"{args.attributions}:{line_num}: unsupported schema")
+                raise ValueError(f"{where}: unsupported schema")
+            for name in ("compound_id", "method", "checkpoint_hash"):
+                if not isinstance(record.get(name), str):
+                    raise ValueError(f"{where}: field {name!r} is missing or not a string")
+            try:
+                record["node_values"] = np.asarray(record["node_values"], dtype=np.float64)
+            except KeyError:
+                raise ValueError(f"{where}: missing field 'node_values'") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: node_values: {exc}") from None
             if args.model_ref and not record["checkpoint_hash"].startswith(args.model_ref):
                 continue
             key = (record["compound_id"], record["method"])
@@ -470,7 +485,7 @@ def cmd_render(args) -> int:
         for (cid, method), record in sorted(records.items()):
             if cid != compound_id:
                 continue
-            values = np.asarray(record["node_values"], dtype=np.float64)
+            values = record["node_values"]
             if values.shape != (graph.num_atoms,):
                 raise ValueError(
                     f"attribution for {cid}/{method} has {values.size} values, "

@@ -371,9 +371,7 @@ def threshold_sweep(
         reason = None
         try:
             wilcoxon = wilcoxon_signed_rank(np.array(means_b), np.array(means_a))
-        except DegenerateComparisonError as exc:
-            reason = str(exc)
-        except ValueError as exc:
+        except ValueError as exc:  # DegenerateComparisonError among others
             reason = str(exc)
         sweeps[method] = MethodSweep(
             method=method,

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
-from .molgraph import DEFAULT_FEATURES, MolecularGraph, atom_features, bond_features
+from .molgraph import (
+    ATOM_FEATURE_WIDTH,
+    BOND_FEATURE_WIDTH,
+    MolecularGraph,
+    atom_features,
+    bond_features,
+)
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -40,8 +46,8 @@ class UninitializedStatsError(RuntimeError):
 class ModelConfig:
     hidden_dim: int = 64
     message_layers: int = 3
-    atom_feature_width: int = DEFAULT_FEATURES.atom_feature_width
-    bond_feature_width: int = DEFAULT_FEATURES.bond_feature_width
+    atom_feature_width: int = ATOM_FEATURE_WIDTH
+    bond_feature_width: int = BOND_FEATURE_WIDTH
 
     def __post_init__(self):
         if self.hidden_dim < 1 or self.message_layers < 1:
@@ -191,7 +197,6 @@ class ForwardTrace:
     x: Tensor
     e: Tensor
     edge_index: np.ndarray
-    layer_states: list[Tensor]
     h: Tensor
     r_cn: Tensor
     r_ucn: Tensor
@@ -259,17 +264,12 @@ def forward_from_arrays(
     receiver = edge_index[:, 0]
     neighbor = edge_index[:, 1]
 
-    layer_states: list[Tensor] = []
     bn_batch: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(cfg.message_layers):
         rooted = binding.linear(f"conv{layer}.root", h)
-        if edge_index.shape[0] > 0:
-            wflat = binding.linear(f"conv{layer}.edge_net", e)
-            messages = ad.edge_messages(wflat, h, neighbor)
-            agg = ad.scatter_mean(messages, receiver, n)
-            pre = ad.add(rooted, agg)
-        else:
-            pre = rooted  # isolated atoms receive a zero aggregate
+        wflat = binding.linear(f"conv{layer}.edge_net", e)
+        messages = ad.edge_messages(wflat, h, neighbor)
+        pre = ad.add(rooted, ad.scatter_mean(messages, receiver, n))  # atoms without bonds add 0
         scale_t = binding[f"conv{layer}.bn.scale"]
         shift_t = binding[f"conv{layer}.bn.shift"]
         if train:
@@ -279,7 +279,6 @@ def forward_from_arrays(
             state = model.bn_state[layer]
             normed = ad.batchnorm_eval(pre, scale_t, shift_t, state.mean, state.var, BN_EPS)
         h = ad.relu(normed)
-        layer_states.append(h)
 
     r_cn = ad.masked_mean(h, common)
     r_ucn = ad.masked_mean(h, uncommon)
@@ -293,7 +292,6 @@ def forward_from_arrays(
         x=x,
         e=e,
         edge_index=edge_index,
-        layer_states=layer_states,
         h=h,
         r_cn=r_cn,
         r_ucn=r_ucn,

@@ -373,76 +373,60 @@ def parse_smiles(smiles: str) -> MolecularGraph:
 
     Atom order matches the left-to-right order of atom tokens. Raises
     :class:`SmilesParseError` with a character position on malformed or
-    unsupported input.
+    unsupported input, and :class:`TypeError` when ``smiles`` is not a string.
     """
+    if not isinstance(smiles, str):
+        raise TypeError(f"SMILES must be a string, got {type(smiles).__name__}")
     return _Parser(smiles).run()
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Feature layout shared by the featurizers and the model.
-
-    Atom rows concatenate a one-hot element block, a one-hot degree
-    block (0..5), a one-hot formal charge block clipped to {-1, 0, +1},
-    an aromatic flag, and a one-hot explicit hydrogen block (0..4,
-    clipped above). Bond rows concatenate a one-hot order block and a
-    ring flag.
-    """
-
-    max_degree: int = 5
-    max_explicit_h: int = 4
-
-    @property
-    def atom_feature_width(self) -> int:
-        return len(ELEMENTS) + (self.max_degree + 1) + 3 + 1 + (self.max_explicit_h + 1)
-
-    @property
-    def bond_feature_width(self) -> int:
-        return len(BOND_ORDERS) + 1
+# Feature layout shared by the featurizers and the model. Atom rows
+# concatenate a one-hot element block, a one-hot degree block (0..5), a
+# one-hot formal charge block clipped to {-1, 0, +1}, an aromatic flag,
+# and a one-hot explicit hydrogen block (0..4, clipped above). Bond rows
+# concatenate a one-hot order block and a ring flag.
+MAX_DEGREE = 5
+MAX_EXPLICIT_H = 4
+ATOM_FEATURE_WIDTH = len(ELEMENTS) + (MAX_DEGREE + 1) + 3 + 1 + (MAX_EXPLICIT_H + 1)
+BOND_FEATURE_WIDTH = len(BOND_ORDERS) + 1
 
 
-DEFAULT_FEATURES = FeatureConfig()
-
-
-def atom_features(graph: MolecularGraph, config: FeatureConfig = DEFAULT_FEATURES) -> np.ndarray:
-    """Per-atom feature matrix, shape ``(num_atoms, atom_feature_width)``, float64."""
+def atom_features(graph: MolecularGraph) -> np.ndarray:
+    """Per-atom feature matrix, shape ``(num_atoms, ATOM_FEATURE_WIDTH)``, float64."""
     n = graph.num_atoms
-    width = config.atom_feature_width
-    out = np.zeros((n, width), dtype=np.float64)
+    out = np.zeros((n, ATOM_FEATURE_WIDTH), dtype=np.float64)
     deg_base = len(ELEMENTS)
-    charge_base = deg_base + config.max_degree + 1
+    charge_base = deg_base + MAX_DEGREE + 1
     arom_base = charge_base + 3
     h_base = arom_base + 1
     for idx, atom in enumerate(graph.atoms):
         out[idx, ELEMENTS.index(atom.element)] = 1.0
         degree = graph.degree(idx)
-        if degree > config.max_degree:
+        if degree > MAX_DEGREE:
             raise ValueError(f"atom {idx} has degree {degree}, above the encodable maximum")
         out[idx, deg_base + degree] = 1.0
         charge = min(1, max(-1, atom.formal_charge))
         out[idx, charge_base + charge + 1] = 1.0
         if atom.aromatic:
             out[idx, arom_base] = 1.0
-        out[idx, h_base + min(atom.explicit_h, config.max_explicit_h)] = 1.0
+        out[idx, h_base + min(atom.explicit_h, MAX_EXPLICIT_H)] = 1.0
     return out
 
 
-def bond_features(
-    graph: MolecularGraph, config: FeatureConfig = DEFAULT_FEATURES
-) -> tuple[np.ndarray, np.ndarray]:
+def bond_features(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
     """Directed edge features and endpoints.
 
     Each undirected bond emits two directed edges carrying identical
     features. Returns ``(features, edge_index)`` with shapes
-    ``(2 * num_bonds, bond_feature_width)`` and ``(2 * num_bonds, 2)``;
+    ``(2 * num_bonds, BOND_FEATURE_WIDTH)`` and ``(2 * num_bonds, 2)``;
     row ``(v, w)`` of ``edge_index`` is the edge along which node ``v``
     receives from neighbor ``w``.
     """
     m = len(graph.bonds)
-    feats = np.zeros((2 * m, config.bond_feature_width), dtype=np.float64)
+    feats = np.zeros((2 * m, BOND_FEATURE_WIDTH), dtype=np.float64)
     index = np.zeros((2 * m, 2), dtype=np.int64)
     for k, bond in enumerate(graph.bonds):
-        row = np.zeros(config.bond_feature_width, dtype=np.float64)
+        row = np.zeros(BOND_FEATURE_WIDTH, dtype=np.float64)
         row[BOND_ORDERS.index(bond.order)] = 1.0
         if bond.in_ring:
             row[-1] = 1.0

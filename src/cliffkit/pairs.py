@@ -712,6 +712,8 @@ def read_pairs_jsonl(path: str):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_num}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_num}: expected a JSON object")
             if record.get("kind") == "header":
                 if record.get("schema") != PAIR_SCHEMA:
                     raise ValueError(f"{path}:{line_num}: unsupported schema {record.get('schema')!r}")
@@ -719,6 +721,8 @@ def read_pairs_jsonl(path: str):
                 continue
             try:
                 pairs.append(pair_from_record(record))
-            except ValueError as exc:
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_num}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_num}: {exc}") from None
     return pairs, header

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import rmse
 from .losses import LossConfig, apply_prox, pair_loss
 from .model import (
     BnRunningState,
-    CompatibilityError,
     ModelBinding,
     ModelConfig,
     MpnnModel,
+    _layer_specs,
     commit_bn_stats,
     forward,
 )
@@ -181,18 +182,6 @@ def _pair_update(
     return float(loss.value), binding.gradient_by_name(grads), [trace_i, trace_j]
 
 
-def _split_rmse(model: MpnnModel, pairs) -> float:
-    errors = []
-    for pair in pairs:
-        for graph, cmask, umask, y in (
-            (pair.graph_i, pair.common_mask_i, pair.uncommon_mask_i, pair.y_i),
-            (pair.graph_j, pair.common_mask_j, pair.uncommon_mask_j, pair.y_j),
-        ):
-            trace = forward(model, graph, cmask, umask, train=False)
-            errors.append((trace.prediction - y) ** 2)
-    return math.sqrt(sum(errors) / len(errors))
-
-
 def train(
     model: MpnnModel,
     split: DatasetSplit,
@@ -232,7 +221,7 @@ def train(
             apply_prox(work, loss_config, step=train_config.learning_rate)
             epoch_loss += loss_value
         train_curve.append(epoch_loss / len(split.train))
-        val = _split_rmse(work, split.validation)
+        val = evaluate_split(work, split.validation).rmse
         if not math.isfinite(val):
             raise TrainingDivergedError(epoch, "<validation>", val)
         val_curve.append(val)
@@ -272,7 +261,7 @@ class SplitEvaluation:
 
     @property
     def rmse(self) -> float:
-        return float(np.sqrt(np.mean((self.predictions - self.targets) ** 2)))
+        return rmse(self.predictions, self.targets)
 
 
 def evaluate_split(model: MpnnModel, pairs) -> SplitEvaluation:
@@ -377,34 +366,39 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[MpnnModel, LossConfig, dict]:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"checkpoint header is not valid JSON: {exc}") from None
     cursor += header_len
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
             f"unsupported checkpoint schema {header.get('schema')!r}; "
             f"this build reads {CHECKPOINT_SCHEMA!r}"
         )
     payload = np.frombuffer(blob[cursor:], dtype="<f8")
-    if payload.size != header["payload_doubles"]:
+    if payload.size != header.get("payload_doubles"):
         raise CheckpointError(
-            f"payload holds {payload.size} doubles, header says {header['payload_doubles']}"
+            f"payload holds {payload.size} doubles, header says {header.get('payload_doubles')}"
         )
-    config = ModelConfig.from_dict(header["config"])
-    loss_config = LossConfig.from_dict(header["loss_config"])
-    params: dict[str, Parameter] = {}
-    for entry in header["params"]:
-        values = payload[entry["offset"] : entry["offset"] + entry["size"]]
-        params[entry["name"]] = Parameter(
-            entry["name"], values.reshape(entry["shape"]).copy(), entry["group"]
-        )
-    bn_state = [
-        BnRunningState(
-            mean=payload[e["mean_offset"] : e["mean_offset"] + e["size"]].copy(),
-            var=payload[e["var_offset"] : e["var_offset"] + e["size"]].copy(),
-            updates=int(e["updates"]),
-        )
-        for e in header["bn"]
-    ]
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        loss_config = LossConfig.from_dict(header["loss_config"])
+        params: dict[str, Parameter] = {}
+        for entry in header["params"]:
+            values = payload[entry["offset"] : entry["offset"] + entry["size"]]
+            params[entry["name"]] = Parameter(
+                entry["name"], values.reshape(entry["shape"]).copy(), entry["group"]
+            )
+        bn_state = [
+            BnRunningState(
+                mean=payload[e["mean_offset"] : e["mean_offset"] + e["size"]].copy(),
+                var=payload[e["var_offset"] : e["var_offset"] + e["size"]].copy(),
+                updates=int(e["updates"]),
+            )
+            for e in header["bn"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
     model = MpnnModel(config, params, bn_state)
-    expected = {name: shape for name, shape, _, _ in _expected_names(config)}
+    expected = {name: shape for name, shape, _, _ in _layer_specs(config)}
     got = {name: tuple(p.value.shape) for name, p in params.items()}
     if got != expected:
         raise CheckpointError("checkpoint parameter set does not match its config")
@@ -413,12 +407,6 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[MpnnModel, LossConfig, dict]:
     ):
         raise CheckpointError("checkpoint normalization state does not match its config")
     return model, loss_config, header
-
-
-def _expected_names(config: ModelConfig):
-    from .model import _layer_specs
-
-    return _layer_specs(config)
 
 
 def load_checkpoint(path: str) -> tuple[MpnnModel, LossConfig, dict]:

@@ -38,9 +38,10 @@ from cliffkit.model import (
     init_parameters,
 )
 from cliffkit.molgraph import (
+    ATOM_FEATURE_WIDTH,
+    BOND_FEATURE_WIDTH,
     Atom,
     Bond,
-    DEFAULT_FEATURES,
     DOUBLE,
     MolecularGraph,
     SINGLE,
@@ -87,8 +88,8 @@ def _model_config(hidden: int, layers: int = 3) -> ModelConfig:
     return ModelConfig(
         hidden_dim=hidden,
         message_layers=layers,
-        atom_feature_width=DEFAULT_FEATURES.atom_feature_width,
-        bond_feature_width=DEFAULT_FEATURES.bond_feature_width,
+        atom_feature_width=ATOM_FEATURE_WIDTH,
+        bond_feature_width=BOND_FEATURE_WIDTH,
     )
 
 

@@ -179,12 +179,3 @@ def test_parameter_group_tags_validated():
     Parameter("ok2", np.zeros(3), "other")
     with pytest.raises(ValueError, match="group tag"):
         Parameter("bad", np.zeros(3), "head_cn")
-
-
-def test_finite_check_flag(monkeypatch):
-    monkeypatch.setattr(ad, "_CHECK_FINITE", True)
-    tape = Tape()
-    with pytest.raises(FloatingPointError):
-        tape.leaf(np.array([1.0, np.inf]))
-    monkeypatch.setattr(ad, "_CHECK_FINITE", False)
-    tape.leaf(np.array([1.0, np.inf]))  # silently accepted when off

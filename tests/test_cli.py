@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -271,21 +272,59 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_pairs_file_exits_2(workspace, tmp_path):
+def test_malformed_pairs_file_exits_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("this is not json\n")
-    assert main([
-        "train", "--pairs", str(bad), "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS,
-    ]) == 2
+    for text in (
+        "this is not json\n",
+        '{"schema":"cliffpair/1","pair_id":"x"}\n',  # a record missing fields
+        "[1, 2]\n",  # a line that is not a JSON object
+        json.dumps({  # a SMILES that is not a string
+            "schema": "cliffpair/1", "pair_id": "x", "target_id": "t", "compound_i": "a",
+            "compound_j": "b", "smiles_i": 5, "smiles_j": "CC", "y_i": 5.0, "y_j": 7.0,
+            "mcs_fraction": 0.5, "mapping": [], "common_mask_i": [1], "common_mask_j": [1, 1],
+        }) + "\n",
+    ):
+        bad.write_text(text)
+        assert main([
+            "train", "--pairs", str(bad), "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS,
+        ]) == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
+    pair_id = read_pairs_jsonl(workspace["pairs"])[0][0].pair_id
+    for record in (
+        {"schema": "attribution/1", "compound_id": "c", "node_values": [], "checkpoint_hash": "h"},
+        ["not", "an", "object"],
+    ):
+        bad.write_text(json.dumps(record) + "\n")
+        assert main([
+            "render", "--pairs", workspace["pairs"], "--attributions", str(bad),
+            "--pair-id", pair_id, "--out", str(tmp_path / "svg"),
+        ]) == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
 
 
-def test_corrupt_checkpoint_exits_2(workspace, tmp_path):
+def _with_header(blob: bytes, edit) -> bytes:
+    """A checkpoint whose JSON header is replaced by ``edit(header)``."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = edit(json.loads(blob[16 : 16 + length]))
+    header_bytes = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + length :]
+
+
+def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys):
+    blob = open(workspace["ckpt_n"], "rb").read()
     junk = tmp_path / "junk.ckpt"
-    junk.write_bytes(b"not a checkpoint")
-    assert main([
-        "eval", "--pairs", workspace["pairs"], "--checkpoint", str(junk),
-        "--out", str(tmp_path / "r.json"),
-    ]) == 2
+    for content in (
+        b"not a checkpoint",
+        _with_header(blob, lambda h: {k: v for k, v in h.items() if k != "params"}),
+        _with_header(blob, lambda h: [h]),
+        _with_header(blob, lambda h: {**h, "config": {**h["config"], "dropout": 0.5}}),
+    ):
+        junk.write_bytes(content)
+        assert main([
+            "eval", "--pairs", workspace["pairs"], "--checkpoint", str(junk),
+            "--out", str(tmp_path / "r.json"),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_method_exits_2(workspace, tmp_path):

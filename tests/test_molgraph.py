@@ -5,9 +5,10 @@ import pytest
 
 from cliffkit.molgraph import (
     AROMATIC,
+    ATOM_FEATURE_WIDTH,
     Atom,
+    BOND_FEATURE_WIDTH,
     Bond,
-    DEFAULT_FEATURES,
     DOUBLE,
     ELEMENTS,
     MolecularGraph,
@@ -200,8 +201,8 @@ def test_bond_feature_rows_and_directed_edges():
 
 
 def test_feature_widths_match_config():
-    assert DEFAULT_FEATURES.atom_feature_width == len(ELEMENTS) + 6 + 3 + 1 + 5 == 26
-    assert DEFAULT_FEATURES.bond_feature_width == 5
+    assert ATOM_FEATURE_WIDTH == len(ELEMENTS) + 6 + 3 + 1 + 5 == 26
+    assert BOND_FEATURE_WIDTH == 5
 
 
 def test_random_roundtrip_properties():

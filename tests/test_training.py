@@ -94,6 +94,17 @@ def test_best_epoch_model_is_returned():
     assert abs(got.rmse - report.best_val_rmse) < 1e-12
 
 
+def test_best_val_rmse_is_the_evaluation_rmse():
+    # validation inside train and evaluate_split share one RMSE, to the last bit
+    data = generate_synthetic_dataset(SyntheticConfig(n_scaffolds=1, n_decorations=30, seed=0))
+    pairs = generate_cliff_pairs(list(data.compounds), PairGenConfig(min_pairs_per_target=1))
+    split = split_pairs(pairs, seed=0)
+    config = TrainConfig(max_epochs=2, patience=2, seed=0, learning_rate=3e-3)
+    model = init_parameters(ModelConfig(hidden_dim=8), seed=0)
+    best, report = train(model, split, LossConfig(variant="n"), config)
+    assert report.best_val_rmse == evaluate_split(best, split.validation).rmse
+
+
 def test_early_stopping_fires():
     # min_delta so large no epoch ever counts as an improvement after the first
     config = TrainConfig(max_epochs=50, patience=2, min_delta=1e9, seed=0)
@@ -233,16 +244,28 @@ def test_checkpoint_rejects_corruption():
     bad = blob.replace(b"mpnn-ckpt/2", b"mpnn-ckpt/9")
     with pytest.raises(CheckpointError, match="schema"):
         load_checkpoint_bytes(bad)
+    # malformed headers: no parameter list, not an object, an unknown config key
+    for edit, message in (
+        (lambda h: {k: v for k, v in h.items() if k != "params"}, "params"),
+        (lambda h: [h], "JSON object"),
+        (lambda h: {**h, "config": {**h["config"], "dropout": 0.5}}, "dropout"),
+    ):
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint_bytes(with_header(blob, edit))
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """A checkpoint whose JSON header is replaced by ``edit(header)``."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = edit(json.loads(blob[16 : 16 + length]))
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + length :]
 
 
 def schema_1_blob(model) -> bytes:
     """A checkpoint whose header carries the previous schema tag."""
     blob = checkpoint_bytes(model, LossConfig(variant="n"))
-    (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + length])
-    header["schema"] = "mpnn-ckpt/1"
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return CHECKPOINT_MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + blob[16 + length :]
+    return with_header(blob, lambda h: {**h, "schema": "mpnn-ckpt/1"})
 
 
 def test_checkpoint_refuses_schema_1():
