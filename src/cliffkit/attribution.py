@@ -45,7 +45,6 @@ class AttributionMap:
     method: str
     node_values: np.ndarray
     edge_values: np.ndarray | None
-    model_ref: str
 
     def node_level(self, edge_index: np.ndarray | None = None) -> np.ndarray:
         """Node values with any edge values redistributed onto endpoints."""
@@ -136,7 +135,6 @@ def attribute_all(
             raise ValueError(f"unknown attribution method {m!r}; expected one of {METHODS}")
     trace = forward(model, graph)
     x_array, e_array = trace.x.value, trace.e.value
-    ref = model.digest()
     need_grads = any(m in methods for m in ("gradcam", "gradinput"))
     if need_grads:
         gx, ge, gh = _input_gradients(trace)
@@ -145,19 +143,19 @@ def attribute_all(
         if method == "cam":
             weights = _effective_readout_weights(model)
             node = trace.h.value @ weights
-            out[method] = AttributionMap(method, node, None, ref)
+            out[method] = AttributionMap(method, node, None)
         elif method == "gradcam":
             alpha = gh.mean(axis=0)
-            out[method] = AttributionMap(method, trace.h.value @ alpha, None, ref)
+            out[method] = AttributionMap(method, trace.h.value @ alpha, None)
         elif method == "gradinput":
             node = (gx * x_array).sum(axis=1)
             edge = (ge * e_array).sum(axis=1)
-            out[method] = AttributionMap(method, node, edge, ref)
+            out[method] = AttributionMap(method, node, edge)
         elif method == "ig":
             node, edge = _integrated_gradients(
                 model, x_array, e_array, trace.edge_index, config.ig_steps
             )
-            out[method] = AttributionMap(method, node, edge, ref)
+            out[method] = AttributionMap(method, node, edge)
     return out
 
 

@@ -345,21 +345,23 @@ def cmd_eval(args) -> int:
         raise ValueError("no pairs left to evaluate")
 
     report_body: dict = {"schema": EVAL_REPORT_SCHEMA, "models": []}
-    node_values = []
-    for (model, loss_config, _), ckpt in zip(models, checkpoints):
+    digests = [model.digest() for model, _, _ in models]
+    for (model, loss_config, _), ckpt, digest in zip(models, checkpoints, digests):
         metrics = _metric_report(model, eval_pairs)
         report_body["models"].append(
             {
                 "checkpoint_sha256": file_sha256(ckpt),
-                "model_digest": model.digest(),
+                "model_digest": digest,
                 "variant": loss_config.variant,
                 "metrics": metrics.to_dict(),
             }
         )
+    node_values = []
+    if len(models) == 2 or args.attributions_out:
+        node_values = [
+            collect_node_values(eval_pairs, model, methods, attr_config) for model, _, _ in models
+        ]
     if len(models) == 2:
-        values_a = collect_node_values(eval_pairs, models[0][0], methods, attr_config)
-        values_b = collect_node_values(eval_pairs, models[1][0], methods, attr_config)
-        node_values = [values_a, values_b]
         sweep = threshold_sweep(
             eval_pairs,
             models[0][0],
@@ -367,8 +369,8 @@ def cmd_eval(args) -> int:
             methods=methods,
             thresholds=thresholds,
             config=attr_config,
-            node_values_a=values_a,
-            node_values_b=values_b,
+            node_values_a=node_values[0],
+            node_values_b=node_values[1],
         )
         report_body["sweep"] = sweep.to_dict()
     report_body["manifest_hash"] = manifest.hash
@@ -381,7 +383,6 @@ def cmd_eval(args) -> int:
     if args.csv:
         if len(models) != 2:
             raise ValueError("--csv requires two checkpoints (it reports the paired sweep)")
-        digests = [m.digest() for m, _, _ in (models[0], models[1])]
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["threshold", "method", "model", "mean_g_dir", "n_pairs"])
@@ -400,14 +401,8 @@ def cmd_eval(args) -> int:
         manifest.add_output("sweep_csv", args.csv)
 
     if args.attributions_out:
-        if not node_values:
-            node_values = [
-                collect_node_values(eval_pairs, model, methods, attr_config)
-                for model, _, _ in models
-            ]
         entries = []
-        for (model, _, _), values in zip(models, node_values):
-            digest = model.digest()
+        for digest, values in zip(digests, node_values):
             for compound_id in sorted(values):
                 for method in methods:
                     entries.append((compound_id, method, values[compound_id][method], digest))

@@ -28,6 +28,9 @@ from .pairs import CliffPair, filter_by_threshold
 
 DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
 
+# Largest effective sample whose Wilcoxon p-value is enumerated exactly.
+_EXACT_LIMIT = 25
+
 
 class ConstantSeriesError(ValueError):
     """Correlation is undefined because one series has zero variance."""
@@ -186,13 +189,13 @@ def _exact_p_value(double_ranks: list[int], w_min_doubled: int) -> float:
     return float((low + high - overlap) / counts.sum())
 
 
-def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
+def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     """Two-sided paired signed-rank test of ``x`` against ``y``.
 
     Zero differences are dropped; at least 5 informative pairs must
     remain. Ties among absolute differences get mid-ranks. Exact
-    enumeration up to ``exact_limit`` effective samples, normal
-    approximation with tie correction and continuity correction beyond.
+    enumeration up to 25 effective samples, normal approximation with
+    tie correction and continuity correction beyond.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -209,7 +212,7 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
-    if n <= exact_limit:
+    if n <= _EXACT_LIMIT:
         double_ranks = [int(round(2 * r)) for r in ranks]
         p = _exact_p_value(double_ranks, int(round(2 * w)))
         return WilcoxonResult(w, min(1.0, p), n, True)

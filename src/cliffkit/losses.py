@@ -119,58 +119,28 @@ def pair_loss(
     return ad.add(total, ad.scale(node, config.node_loss_weight))
 
 
-@dataclass
-class PenaltyGroups:
-    """Flattened head blocks in a fixed parameter order, for penalties and prox."""
-
-    names_cn: list[str]
-    names_ucn: list[str]
-    beta_cn: np.ndarray
-    beta_ucn: np.ndarray
-
-
-def extract_penalty_groups(model: MpnnModel) -> PenaltyGroups:
-    names_cn = model.group_names("CN_head")
-    names_ucn = model.group_names("UCN_head")
-    beta_cn = np.concatenate([model.params[n].value.ravel() for n in names_cn])
-    beta_ucn = np.concatenate([model.params[n].value.ravel() for n in names_ucn])
-    return PenaltyGroups(names_cn, names_ucn, beta_cn, beta_ucn)
-
-
-def write_penalty_groups(model: MpnnModel, groups: PenaltyGroups) -> None:
-    """Scatter flattened blocks back into the model parameters."""
-    for names, beta in ((groups.names_cn, groups.beta_cn), (groups.names_ucn, groups.beta_ucn)):
-        offset = 0
-        for name in names:
-            p = model.params[name]
-            size = p.value.size
-            p.value = beta[offset : offset + size].reshape(p.value.shape).copy()
-            offset += size
-        if offset != beta.size:
-            raise ValueError("group block size does not match its parameters")
-
-
-def penalty_group_lasso(groups: PenaltyGroups, lam: float) -> float:
-    """lam * (sqrt(p_cn)*||b_cn|| + sqrt(p_ucn)*||b_ucn||)."""
+def penalty_group_lasso(beta_cn: np.ndarray, beta_ucn: np.ndarray, lam: float) -> float:
+    """lam * (sqrt(p_cn)*||b_cn|| + sqrt(p_ucn)*||b_ucn||) over the flattened head blocks."""
     value = 0.0
-    for beta in (groups.beta_cn, groups.beta_ucn):
+    for beta in (beta_cn, beta_ucn):
+        beta = np.asarray(beta, dtype=np.float64)
         value += np.sqrt(beta.size) * np.linalg.norm(beta)
     return float(lam * value)
 
 
-def penalty_sparse_group_lasso(groups: PenaltyGroups, lam: float, alpha: float) -> float:
+def penalty_sparse_group_lasso(
+    beta_cn: np.ndarray, beta_ucn: np.ndarray, lam: float, alpha: float
+) -> float:
     """Convex mix of the group penalty and an elementwise l1 penalty."""
-    group_part = penalty_group_lasso(groups, lam)
-    l1 = float(np.abs(groups.beta_cn).sum() + np.abs(groups.beta_ucn).sum())
+    group_part = penalty_group_lasso(beta_cn, beta_ucn, lam)
+    l1 = float(np.abs(beta_cn).sum() + np.abs(beta_ucn).sum())
     return (1.0 - alpha) * group_part + alpha * lam * l1
 
 
-def prox_group_lasso(block: np.ndarray, step: float, lam: float, p: int | None = None) -> np.ndarray:
-    """Block soft-threshold: minimizes ``0.5*||z-b||^2 + step*lam*sqrt(p)*||z||``."""
+def prox_group_lasso(block: np.ndarray, step: float, lam: float) -> np.ndarray:
+    """Block soft-threshold: minimizes ``0.5*||z-b||^2 + step*lam*sqrt(p)*||z||``, p the block size."""
     block = np.asarray(block, dtype=np.float64)
-    if p is None:
-        p = block.size
-    threshold = step * lam * np.sqrt(p)
+    threshold = step * lam * np.sqrt(block.size)
     if threshold == 0.0:
         return block.copy()
     norm = np.linalg.norm(block)
@@ -179,32 +149,34 @@ def prox_group_lasso(block: np.ndarray, step: float, lam: float, p: int | None =
     return (1.0 - threshold / norm) * block
 
 
-def prox_sparse_group_lasso(
-    block: np.ndarray, step: float, lam: float, alpha: float, p: int | None = None
-) -> np.ndarray:
+def prox_sparse_group_lasso(block: np.ndarray, step: float, lam: float, alpha: float) -> np.ndarray:
     """Elementwise soft-threshold, then the group prox on what survives.
 
     With ``alpha = 0`` this reduces exactly to :func:`prox_group_lasso`.
     """
     block = np.asarray(block, dtype=np.float64)
-    if p is None:
-        p = block.size
     soft = step * alpha * lam
     if soft > 0.0:
         block = np.sign(block) * np.maximum(np.abs(block) - soft, 0.0)
-    return prox_group_lasso(block, step, (1.0 - alpha) * lam, p)
+    return prox_group_lasso(block, step, (1.0 - alpha) * lam)
 
 
 def apply_prox(model: MpnnModel, config: LossConfig, step: float) -> None:
-    """Proximal update of both head blocks in place, per the config's variant."""
+    """Proximal update of both head blocks, per the config's variant.
+
+    Each block is the group's parameters flattened in parameter order;
+    the result is written back into the parameter arrays in place.
+    """
     if config.variant not in ("n-gl", "n-sgl"):
         return
-    groups = extract_penalty_groups(model)
-    for attr in ("beta_cn", "beta_ucn"):
-        block = getattr(groups, attr)
+    for tag in ("CN_head", "UCN_head"):
+        values = [model.params[name].value for name in model.group_names(tag)]
+        block = np.concatenate(values, axis=None)
         if config.variant == "n-gl":
-            updated = prox_group_lasso(block, step, config.lam)
+            block = prox_group_lasso(block, step, config.lam)
         else:
-            updated = prox_sparse_group_lasso(block, step, config.lam, config.alpha)
-        setattr(groups, attr, updated)
-    write_penalty_groups(model, groups)
+            block = prox_sparse_group_lasso(block, step, config.lam, config.alpha)
+        offset = 0
+        for value in values:
+            value[...] = block[offset : offset + value.size].reshape(value.shape)
+            offset += value.size

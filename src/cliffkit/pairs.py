@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,26 +347,6 @@ def _pair_candidates(compounds: list[CompoundRecord], config: PairGenConfig):
                 yield records[a], records[b]
 
 
-def _evaluate_candidate(args) -> CliffPair | None:
-    rec_i, rec_j, config = args
-    mcs = max_common_substructure(rec_i.graph, rec_j.graph, config.mcs_node_budget)
-    if mcs.fraction < config.min_mcs_fraction:
-        return None
-    return build_pair(rec_i, rec_j, mcs)
-
-
-def worker_count() -> int:
-    """Worker cap from ``CLIFFKIT_THREADS``, at most the CPU count; defaults to sequential."""
-    raw = os.environ.get("CLIFFKIT_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CLIFFKIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(n, os.cpu_count() or 1))
-
-
 def generate_cliff_pairs(
     compounds: list[CompoundRecord], config: PairGenConfig = PairGenConfig()
 ) -> list[CliffPair]:
@@ -375,22 +354,13 @@ def generate_cliff_pairs(
 
     The activity gate runs before the substructure search. Targets that
     end up with fewer than ``min_pairs_per_target`` surviving pairs are
-    dropped entirely. Output order is (target_id, pair_id) ascending
-    regardless of worker count.
+    dropped entirely. Output order is (target_id, pair_id) ascending.
     """
-    candidates = [(a, b, config) for a, b in _pair_candidates(compounds, config)]
-    workers = worker_count()
-    if workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_candidate, candidates, chunksize=16))
-    else:
-        results = [_evaluate_candidate(c) for c in candidates]
     by_target: dict[str, list[CliffPair]] = {}
-    for pair in results:
-        if pair is not None:
-            by_target.setdefault(pair.target_id, []).append(pair)
+    for rec_i, rec_j in _pair_candidates(compounds, config):
+        mcs = max_common_substructure(rec_i.graph, rec_j.graph, config.mcs_node_budget)
+        if mcs.fraction >= config.min_mcs_fraction:
+            by_target.setdefault(rec_i.target_id, []).append(build_pair(rec_i, rec_j, mcs))
     kept: list[CliffPair] = []
     for target_id in sorted(by_target):
         pairs = by_target[target_id]
@@ -474,6 +444,10 @@ _SCAFFOLD_TEMPLATES = (
 _DECORATION_ATOMS = ("C", "N", "O", "S", "F", "Cl", "Br", "I")
 _DECORATION_CHAIN = ("C", "N", "O", "S")
 
+# Planted pIC50 parts: a uniform base per scaffold, a uniform effect per decoration.
+_BASE_RANGE = (4.5, 7.5)
+_EFFECT_RANGE = (-2.0, 2.0)
+
 
 def decoration_library(count: int) -> list[str]:
     """First ``count`` fragments from the deterministic decoration enumeration."""
@@ -491,8 +465,6 @@ class SyntheticConfig:
     n_decorations: int = 60
     noise_sd: float = 0.1
     seed: int = 0
-    base_range: tuple[float, float] = (4.5, 7.5)
-    effect_range: tuple[float, float] = (-2.0, 2.0)
     scaffolds_per_target: int = 1
 
     def __post_init__(self):
@@ -509,8 +481,6 @@ class SyntheticConfig:
             "n_decorations": self.n_decorations,
             "noise_sd": self.noise_sd,
             "seed": self.seed,
-            "base_range": list(self.base_range),
-            "effect_range": list(self.effect_range),
             "scaffolds_per_target": self.scaffolds_per_target,
         }
 
@@ -545,8 +515,8 @@ def generate_synthetic_dataset(config: SyntheticConfig = SyntheticConfig()) -> S
     """
     rng = np.random.default_rng(config.seed)
     decorations = decoration_library(config.n_decorations)
-    bases = rng.uniform(*config.base_range, size=config.n_scaffolds)
-    effects = rng.uniform(*config.effect_range, size=len(decorations))
+    bases = rng.uniform(*_BASE_RANGE, size=config.n_scaffolds)
+    effects = rng.uniform(*_EFFECT_RANGE, size=len(decorations))
     compounds: list[CompoundRecord] = []
     planted: dict[str, PlantedEffect] = {}
     for s in range(config.n_scaffolds):
@@ -617,7 +587,10 @@ def read_compounds_csv(path: str, strict: bool = False):
                 ic50 = float(ic50_text)
             except ValueError:
                 raise ValueError(f"{path}:{row_num}: ic50_nm is not a number: {ic50_text!r}") from None
-            pic50 = pic50_from_ic50_nm(ic50)
+            try:
+                pic50 = pic50_from_ic50_nm(ic50)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{row_num}: {exc}") from None
             try:
                 graph = parse_smiles(smiles)
             except ValueError as exc:

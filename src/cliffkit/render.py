@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import html
 
 import numpy as np
 
@@ -23,6 +24,7 @@ _NEUTRAL = (247, 247, 247)
 _CANVAS = 420.0
 _MARGIN = 46.0
 _ATOM_RADIUS = 15.0
+_LAYOUT_ITERATIONS = 220
 
 
 def layout_seed(compound_id: str) -> int:
@@ -31,7 +33,7 @@ def layout_seed(compound_id: str) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def spring_layout(graph: MolecularGraph, compound_id: str, iterations: int = 220) -> np.ndarray:
+def spring_layout(graph: MolecularGraph, compound_id: str) -> np.ndarray:
     """Fruchterman-Reingold embedding, float64, fully seeded.
 
     The layout depends only on its arguments, so it is computed once per
@@ -47,8 +49,8 @@ def spring_layout(graph: MolecularGraph, compound_id: str, iterations: int = 220
     k = 1.0 / np.sqrt(n)
     edges = np.array([(b.i, b.j) for b in graph.bonds], dtype=np.int64).reshape(-1, 2)
     temperature = 0.18
-    cooling = temperature / iterations
-    for _ in range(iterations):
+    cooling = temperature / _LAYOUT_ITERATIONS
+    for _ in range(_LAYOUT_ITERATIONS):
         delta = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((delta * delta).sum(axis=2))
         np.fill_diagonal(dist, 1.0)
@@ -115,7 +117,7 @@ def render_molecule_svg(
         f"<!-- manifest:{manifest_hash} -->",
         f'<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{_CANVAS / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{html.escape(title, quote=False)}</text>',
     ]
     for bond in graph.bonds:
         x1, y1 = pos[bond.i]

@@ -39,6 +39,11 @@ from .pairs import CliffPair, DatasetSplit
 CHECKPOINT_SCHEMA = "mpnn-ckpt/2"
 CHECKPOINT_MAGIC = b"MPNNCKPT"
 
+# Adam's first-moment decay and denominator guard; the second-moment decay
+# is TrainConfig.beta2.
+ADAM_BETA1 = 0.9
+ADAM_EPS = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss left the finite range; carries where it happened."""
@@ -63,9 +68,7 @@ class TrainConfig:
     patience: int = 20
     min_delta: float = 1e-6
     seed: int = 0
-    beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.max_epochs < 1 or self.patience < 1:
@@ -78,9 +81,7 @@ class TrainConfig:
             "patience": self.patience,
             "min_delta": self.min_delta,
             "seed": self.seed,
-            "beta1": self.beta1,
             "beta2": self.beta2,
-            "eps": self.eps,
         }
 
     @classmethod
@@ -145,20 +146,20 @@ class AdamState:
     def update(self, model: MpnnModel, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
         self.step += 1
-        bc1 = 1.0 - cfg.beta1 ** self.step
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
         bc2 = 1.0 - cfg.beta2 ** self.step
         g, m, v = self._grad, self.m, self.v
         a, b = self._scratch
         np.concatenate([grads[name].ravel() for name in self.names], out=g)
         # same operation order as m += (1-b1)*g; v += (1-b2)*g*g;
         # p -= lr*(m/bc1) / (sqrt(v/bc2)+eps), so results are bit-identical
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= cfg.beta2
         np.multiply(1.0 - cfg.beta2, g, out=a)
         v += np.multiply(a, g, out=a)
         np.multiply(cfg.learning_rate, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), cfg.eps, out=b)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         for name, step in zip(self.names, self._steps):
             model.params[name].value -= step

@@ -9,7 +9,8 @@ from cliffkit.attribution import (
     ground_truth,
     redistribute_edges,
 )
-from cliffkit.model import ModelConfig, commit_bn_stats, forward, forward_from_arrays, init_parameters
+from cliffkit.evaluation import collect_node_values
+from cliffkit.model import ModelConfig, MpnnModel, commit_bn_stats, forward, forward_from_arrays, init_parameters
 from cliffkit.molgraph import atom_features, bond_features, parse_smiles
 from cliffkit.pairs import build_pair, CompoundRecord, max_common_substructure
 
@@ -28,18 +29,34 @@ def eval_prediction(model, x, e, idx):
     return forward_from_arrays(model, x, e, idx, mask, mask).prediction
 
 
-def test_attribute_all_shapes_and_model_ref():
+def test_attribute_all_shapes():
     model = ready_model()
     g = parse_smiles("CCO")
     maps = attribute_all(model, g, config=AttributionConfig(ig_steps=8))
     assert set(maps) == set(METHODS)
     for method, amap in maps.items():
         assert amap.node_values.shape == (3,)
-        assert amap.model_ref == model.digest()
         if method in ("cam", "gradcam"):
             assert amap.edge_values is None
         else:
             assert amap.edge_values.shape == (4,)  # two bonds, both directions
+
+
+def test_attribution_does_not_hash_the_model(monkeypatch):
+    model = ready_model()
+    a = CompoundRecord("A", "T", "CCCO", parse_smiles("CCCO"), 8.0)
+    b = CompoundRecord("B", "T", "CCCN", parse_smiles("CCCN"), 6.0)
+    pair = build_pair(a, b, max_common_substructure(a.graph, b.graph))
+
+    def refuse(self):
+        raise AssertionError("attribution must not hash the model")
+
+    monkeypatch.setattr(MpnnModel, "digest", refuse)
+    config = AttributionConfig(ig_steps=4)
+    assert set(attribute_all(model, pair.graph_i, config=config)) == set(METHODS)
+    values = collect_node_values([pair], model, METHODS, config)
+    assert set(values) == {"A", "B"}
+    assert all(set(v) == set(METHODS) for v in values.values())
 
 
 def test_unknown_method_rejected():

@@ -5,9 +5,7 @@ from scipy import optimize
 from cliffkit.autodiff import Tape
 from cliffkit.losses import (
     LossConfig,
-    PenaltyGroups,
     apply_prox,
-    extract_penalty_groups,
     loss_mse,
     loss_node,
     pair_loss,
@@ -15,7 +13,6 @@ from cliffkit.losses import (
     penalty_sparse_group_lasso,
     prox_group_lasso,
     prox_sparse_group_lasso,
-    write_penalty_groups,
 )
 from cliffkit.model import ModelBinding, ModelConfig, forward, init_parameters
 from cliffkit.molgraph import parse_smiles
@@ -103,35 +100,32 @@ def test_loss_config_validation():
     assert LossConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def groups_of(beta_cn, beta_ucn):
-    return PenaltyGroups([], [], np.asarray(beta_cn, float), np.asarray(beta_ucn, float))
-
-
 def test_group_lasso_penalty_hand_values():
-    g = groups_of([3.0, 4.0], [0.0])
-    assert abs(penalty_group_lasso(g, 1.0) - np.sqrt(2) * 5.0) < 1e-12
-    assert penalty_group_lasso(groups_of([0.0, 0.0], [0.0]), 1.0) == 0.0
+    assert abs(penalty_group_lasso([3.0, 4.0], [0.0], 1.0) - np.sqrt(2) * 5.0) < 1e-12
+    assert penalty_group_lasso([0.0, 0.0], [0.0], 1.0) == 0.0
     # positive homogeneity
-    g2 = groups_of([6.0, 8.0], [0.0])
-    assert abs(penalty_group_lasso(g2, 1.0) - 2 * penalty_group_lasso(g, 1.0)) < 1e-12
+    doubled = penalty_group_lasso([6.0, 8.0], [0.0], 1.0)
+    assert abs(doubled - 2 * penalty_group_lasso([3.0, 4.0], [0.0], 1.0)) < 1e-12
 
 
 def test_sparse_group_lasso_penalty_hand_values():
-    g = groups_of([3.0, 4.0], [0.0])
+    beta_cn, beta_ucn = [3.0, 4.0], [0.0]
     want = 0.5 * np.sqrt(2) * 5.0 + 0.5 * 7.0
-    assert abs(penalty_sparse_group_lasso(g, 1.0, 0.5) - want) < 1e-12
-    assert penalty_sparse_group_lasso(g, 1.0, 0.0) == penalty_group_lasso(g, 1.0)
-    pure_l1 = penalty_sparse_group_lasso(groups_of([1.0, -2.0], []), 1.0, 1.0)
+    assert abs(penalty_sparse_group_lasso(beta_cn, beta_ucn, 1.0, 0.5) - want) < 1e-12
+    assert penalty_sparse_group_lasso(beta_cn, beta_ucn, 1.0, 0.0) == penalty_group_lasso(
+        beta_cn, beta_ucn, 1.0
+    )
+    pure_l1 = penalty_sparse_group_lasso([1.0, -2.0], [], 1.0, 1.0)
     assert abs(pure_l1 - 3.0) < 1e-12
 
 
 def test_sgl_alpha_mixing_identity():
     rng = np.random.default_rng(0)
-    g = groups_of(rng.standard_normal(5), rng.standard_normal(3))
+    beta_cn, beta_ucn = rng.standard_normal(5), rng.standard_normal(3)
     for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
-        got = penalty_sparse_group_lasso(g, 0.7, alpha)
-        l1 = np.abs(g.beta_cn).sum() + np.abs(g.beta_ucn).sum()
-        want = (1 - alpha) * penalty_group_lasso(g, 0.7) + alpha * 0.7 * l1
+        got = penalty_sparse_group_lasso(beta_cn, beta_ucn, 0.7, alpha)
+        l1 = np.abs(beta_cn).sum() + np.abs(beta_ucn).sum()
+        want = (1 - alpha) * penalty_group_lasso(beta_cn, beta_ucn, 0.7) + alpha * 0.7 * l1
         assert abs(got - want) < 1e-12
 
 
@@ -222,18 +216,29 @@ def test_proximal_gradient_descends_frozen_objective():
         prev = cur
 
 
-def test_extract_write_roundtrip_and_apply_prox():
+def test_apply_prox_updates_head_blocks_in_place():
     model = init_parameters(ModelConfig(hidden_dim=4), seed=7)
-    groups = extract_penalty_groups(model)
-    # round trip leaves parameters untouched
-    before = model.digest()
-    write_penalty_groups(model, groups)
-    assert model.digest() == before
+    arrays = {n: p.value for n, p in model.params.items()}
+    heads = [n for n, p in model.params.items() if p.group_tag != "other"]
+    # one prox step equals the prox of each group's flattened block
+    step, config = 0.1, LossConfig(variant="n-sgl", lam=0.5, alpha=0.3)
+    want = {}
+    for tag in ("CN_head", "UCN_head"):
+        names = model.group_names(tag)
+        block = np.concatenate([model.params[n].value.ravel() for n in names])
+        block = prox_sparse_group_lasso(block, step, config.lam, config.alpha)
+        offset = 0
+        for n in names:
+            want[n] = block[offset : offset + arrays[n].size].reshape(arrays[n].shape)
+            offset += arrays[n].size
+    apply_prox(model, config, step)
+    for n in heads:
+        assert model.params[n].value is arrays[n]
+        assert np.array_equal(arrays[n], want[n])
     # heavy penalty wipes both head blocks, everything else untouched
     keep = {n: p.value.copy() for n, p in model.params.items() if p.group_tag == "other"}
     apply_prox(model, LossConfig(variant="n-gl", lam=100.0), step=1.0)
-    wiped = extract_penalty_groups(model)
-    assert np.all(wiped.beta_cn == 0.0) and np.all(wiped.beta_ucn == 0.0)
+    assert all(np.all(arrays[n] == 0.0) for n in heads)
     for name, value in keep.items():
         assert np.array_equal(model.params[name].value, value)
     # plain variant is a no-op

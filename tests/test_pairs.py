@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from cliffkit.pairs import (
     read_compounds_csv,
     read_pairs_jsonl,
     split_pairs,
-    worker_count,
     write_compounds_csv,
     write_pairs_jsonl,
 )
@@ -246,20 +246,6 @@ def test_generate_cliff_pairs_gates():
     assert generate_cliff_pairs(compounds, PairGenConfig(min_pairs_per_target=3)) == []
 
 
-def test_generate_cliff_pairs_worker_pool_matches_sequential(monkeypatch):
-    data = generate_synthetic_dataset(SyntheticConfig(n_scaffolds=2, n_decorations=12, seed=5))
-    config = PairGenConfig(min_pairs_per_target=1)
-    monkeypatch.delenv("CLIFFKIT_THREADS", raising=False)
-    sequential = generate_cliff_pairs(list(data.compounds), config)
-    # two workers even on a one-core machine; the cap keeps it at two
-    monkeypatch.setenv("CLIFFKIT_THREADS", "2")
-    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: 2)
-    assert worker_count() == 2
-    pooled = generate_cliff_pairs(list(data.compounds), config)
-    assert len(sequential) > 10
-    assert [pair_to_record(p) for p in pooled] == [pair_to_record(p) for p in sequential]
-
-
 def test_generate_pairs_cross_target_never_pairs():
     compounds = [
         record("A", "T1", "CCO", 9.0),
@@ -479,6 +465,11 @@ def test_compounds_csv_errors(tmp_path):
     path.write_text("compound_id,target_id,smiles,ic50_nm\nA,T,CCO,10\nA,T,CCN,20\n")
     with pytest.raises(ValueError, match="duplicate"):
         read_compounds_csv(path)
+    # a non-positive or non-finite ic50 is reported with its file and row
+    for bad in ("0", "-5", "nan", "inf"):
+        path.write_text(f"compound_id,target_id,smiles,ic50_nm\nA,T,CCO,10\nB,T,CCN,{bad}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: ic50_nm must be a positive"):
+            read_compounds_csv(path)
 
 
 def test_compounds_csv_smiles_failures_lax_vs_strict(tmp_path):
@@ -538,14 +529,3 @@ def test_pair_gen_config_validation():
         PairGenConfig(min_activity_delta=-0.1)
     with pytest.raises(ValueError):
         PairGenConfig(min_pairs_per_target=0)
-
-
-def test_worker_count_is_capped_at_cpu_count(monkeypatch):
-    # only the count is computed; no pool is started
-    monkeypatch.setenv("CLIFFKIT_THREADS", "64")
-    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: 2)
-    assert worker_count() == 2
-    monkeypatch.setattr("cliffkit.pairs.os.cpu_count", lambda: None)
-    assert worker_count() == 1
-    monkeypatch.setenv("CLIFFKIT_THREADS", "0")
-    assert worker_count() == 1

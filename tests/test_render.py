@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,11 @@ def test_render_lays_out_each_compound_once():
         pos[0, 0] = 0.0
     render.spring_layout(g, "ASP2")
     assert render.spring_layout.cache_info().misses == 2
+
+
+def test_render_escapes_the_title():
+    g = parse_smiles("CCO")
+    svg = render.render_molecule_svg(g, np.zeros(3), "A&B<1>", "A&B<1> cam")
+    root = ElementTree.fromstring(svg)
+    title = next(root.iter("{http://www.w3.org/2000/svg}text"))
+    assert title.text == "A&B<1> cam"

@@ -16,6 +16,8 @@ from cliffkit.pairs import (
     split_pairs,
 )
 from cliffkit.training import (
+    ADAM_BETA1,
+    ADAM_EPS,
     AdamState,
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -174,13 +176,13 @@ def test_adam_in_place_step_matches_allocating_formula_bitwise():
     for step in (1, 2, 3):
         grads = {name: rng.normal(size=x.shape) for name, x in expect.items()}
         adam.update(model, grads)
-        bc1 = 1.0 - cfg.beta1 ** step
+        bc1 = 1.0 - ADAM_BETA1 ** step
         bc2 = 1.0 - cfg.beta2 ** step
         for name, g in grads.items():
-            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
             v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
             expect[name] = expect[name] - cfg.learning_rate * (m[name] / bc1) / (
-                np.sqrt(v[name] / bc2) + cfg.eps
+                np.sqrt(v[name] / bc2) + ADAM_EPS
             )
         for name, p in model.params.items():
             assert p.value is arrays[name]  # updated in place
