@@ -1,12 +1,18 @@
 """Edge-conditioned message passing network over molecular graphs.
 
 The forward pass embeds atom features, runs a fixed number of
-bond-typed convolution layers (one hidden x hidden matrix per bond
-feature plus a bias matrix; a bond's message matrix is their sum
-weighted by its feature row), then reads the graph out twice through
+bond-typed convolution layers, then reads the graph out twice through
 boolean atom masks: one readout over the atoms a pair has in common,
 one over the rest. Two group-tagged head layers process the readouts
 and a combine/output stack produces the scalar affinity.
+
+A convolution layer holds one hidden x hidden matrix per bond feature
+plus a bias matrix; a bond's message is their sum, weighted by its
+feature row, applied to the neighbour's state. It is computed in R-GCN
+form: each matrix is applied to every atom's state once, and the
+results are gathered and weighted per bond, so no per-bond matrix is
+formed. Each layer (messages, mean over neighbours, root map,
+normalization, ReLU) is the single tape entry ``ad.message_layer``.
 
 Masks are per-pair inputs. Standalone prediction uses all-true masks,
 so a single compound is scored without reference to any partner.
@@ -32,6 +38,10 @@ from .molgraph import (
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# a message layer's parameters, in the order ad.message_layer takes them
+_CONV_PARAMS = (
+    "edge_net.weight", "edge_net.bias", "root.weight", "root.bias", "bn.scale", "bn.shift",
+)
 
 
 class CompatibilityError(ValueError):
@@ -261,24 +271,15 @@ def forward_from_arrays(
     edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
 
     h = binding.linear("node_embed", x)
-    receiver = edge_index[:, 0]
-    neighbor = edge_index[:, 1]
-
     bn_batch: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(cfg.message_layers):
-        rooted = binding.linear(f"conv{layer}.root", h)
-        wflat = binding.linear(f"conv{layer}.edge_net", e)
-        messages = ad.edge_messages(wflat, h, neighbor)
-        pre = ad.add(rooted, ad.scatter_mean(messages, receiver, n))  # atoms without bonds add 0
-        scale_t = binding[f"conv{layer}.bn.scale"]
-        shift_t = binding[f"conv{layer}.bn.shift"]
+        state = model.bn_state[layer]
+        h, mean, var = ad.message_layer(
+            h, e, *(binding[f"conv{layer}.{name}"] for name in _CONV_PARAMS), edge_index,
+            running=None if train else (state.mean, state.var), eps=BN_EPS,
+        )
         if train:
-            normed, mean, var = ad.batchnorm_train(pre, scale_t, shift_t, BN_EPS)
             bn_batch.append((mean, var))
-        else:
-            state = model.bn_state[layer]
-            normed = ad.batchnorm_eval(pre, scale_t, shift_t, state.mean, state.var, BN_EPS)
-        h = ad.relu(normed)
 
     r_cn = ad.masked_mean(h, common)
     r_ucn = ad.masked_mean(h, uncommon)

@@ -153,6 +153,50 @@ def test_batchnorm_eval_affine_grads():
     check_op(build, [(4, 3), (3,), (3,)], rng)
 
 
+# atom 3 has no bonds; "C" is one atom and no bonds
+ISOLATED_ATOM = (4, np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]]))
+NO_BONDS = (1, np.zeros((0, 2), dtype=np.int64))
+
+
+def _per_edge_message_layer(arrays, edge_index, running, eps=1e-5):
+    """The layer in plain numpy, one H x H matrix per edge."""
+    h, e, ew, eb, rw, rb, gamma, beta = arrays
+    hdim = h.shape[1]
+    pre = h @ rw + rb
+    agg, count = np.zeros_like(pre), np.zeros(len(h))
+    for (receiver, neighbor), row in zip(edge_index, e):
+        agg[receiver] += (row @ ew + eb).reshape(hdim, hdim) @ h[neighbor]
+        count[receiver] += 1
+    pre = pre + agg / np.maximum(count, 1)[:, None]
+    mean, var = (pre.mean(axis=0), pre.var(axis=0)) if running is None else running
+    return np.maximum(gamma * (pre - mean) / np.sqrt(var + eps) + beta, 0.0)
+
+
+@pytest.mark.parametrize("graph", [ISOLATED_ATOM, NO_BONDS], ids=["isolated-atom", "no-bonds"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_message_layer_values_and_grads(graph, mode):
+    rng = np.random.default_rng(8)
+    n, edge_index = graph
+    hdim, width = 3, 5
+    shapes = [(n, hdim), (len(edge_index), width), (width, hdim * hdim), (hdim * hdim,),
+              (hdim, hdim), (hdim,), (hdim,), (hdim,)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    running = None if mode == "train" else (rng.standard_normal(hdim), rng.uniform(0.5, 1.5, hdim))
+    tape = Tape()
+    out, mean, var = ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, running)
+    assert np.allclose(out.value, _per_edge_message_layer(arrays, edge_index, running), atol=1e-12)
+    if running is not None:
+        assert mean is running[0] and var is running[1]
+    proj = rng.standard_normal((n, hdim))
+
+    def build(tape, xs):
+        out, _, _ = ad.message_layer(*xs, edge_index, running)
+        return ad.sum_all(ad.mul(out, tape.constant(proj)))
+
+    # every one of the eight inputs: h, e, edge weight/bias, root weight/bias, scale, shift
+    check_op(build, shapes, rng, rel_tol=1e-5)
+
+
 def test_backward_requires_scalar_and_same_tape():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))

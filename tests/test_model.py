@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,29 @@ def test_single_atom_graph_runs():
     trace = forward(model, g, train=True)
     assert np.isfinite(trace.prediction)
     assert trace.h.value.shape == (1, 8)
+
+
+def test_one_forward_records_at_most_16_tape_entries():
+    # node embedding 2, one per message layer, readouts 2, heads 4, concat 1, combine 2, out 2
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
+    trace = forward(model, parse_smiles("CC(=O)Oc1ccccc1"), train=True)
+    assert len(trace.tape._entries) <= 16
+
+
+def test_tape_is_freed_by_reference_counting():
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
+    g = parse_smiles("CC(=O)Oc1ccccc1")
+    gc.disable()
+    try:
+        trained = forward(model, g, train=True)
+        trained.tape.backward(trained.y_hat)
+        commit_bn_stats(model, trained)
+        evaluated = forward(model, g)
+        refs = [weakref.ref(trained.tape), weakref.ref(evaluated.tape)]
+        del trained, evaluated
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_eval_before_any_training_raises():
