@@ -18,6 +18,11 @@ Train-mode normalization is a pure function of its inputs (batch
 statistics are recomputed on every call); updating running statistics
 is a separate explicit step, which keeps finite-difference probing of
 the forward pass honest.
+
+The message layer and the masked readout also take several graphs
+packed as a disjoint union (``offsets`` marks where each graph's rows
+begin). They then normalize, and read out, each graph over its own rows,
+with the gradient flowing through each graph's own statistics.
 """
 
 from __future__ import annotations
@@ -197,52 +202,112 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two 1-D tensors."""
-    if a.value.ndim != 1 or b.value.ndim != 1:
-        raise ValueError("concat expects 1-D tensors")
-    na = a.value.shape[0]
+    """Concatenate two 1-D tensors, or two 2-D tensors row by row (along the last axis)."""
+    av, bv = a.value, b.value
+    if av.ndim not in (1, 2) or av.ndim != bv.ndim or av.shape[:-1] != bv.shape[:-1]:
+        raise ValueError(f"concat shape mismatch: {av.shape} vs {bv.shape}")
+    na = av.shape[-1]
 
     def backward(g):
-        return g[:na], g[na:]
+        return g[..., :na], g[..., na:]
 
-    return a.tape._record((a, b), np.concatenate([a.value, b.value]), backward)
+    return a.tape._record((a, b), np.concatenate([av, bv], axis=-1), backward)
 
 
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over the rows selected by a boolean mask; all-false gives zeros."""
+def _segments(offsets, n: int) -> list[tuple[int, int]]:
+    """Row ranges of the packed graphs; ``offsets`` None means one graph of ``n`` rows.
+
+    ``offsets`` holds each graph's first row and then ``n``, so graph ``k``
+    owns rows ``offsets[k]:offsets[k + 1]``; every graph needs a row.
+    """
+    if offsets is None:
+        return [(0, n)]
+    bounds = [int(o) for o in offsets]
+    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n or any(
+        a >= b for a, b in zip(bounds[:-1], bounds[1:])
+    ):
+        raise ValueError(f"graph offsets {bounds} do not split {n} rows into non-empty graphs")
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _segment_means(x: np.ndarray, segments) -> np.ndarray:
+    """Mean of each graph's rows, one row per graph (as ``mean(axis=0)`` sums and divides)."""
+    out = np.empty((len(segments), x.shape[1]))
+    for row, (a, b) in zip(out, segments):
+        np.add.reduce(x[a:b], axis=0, out=row)
+        row /= b - a
+    return out
+
+
+def _per_row(stats: np.ndarray, segments) -> np.ndarray:
+    """Per-graph rows expanded to the graphs' rows (broadcast when there is one graph)."""
+    if len(stats) == 1:
+        return stats
+    return np.repeat(stats, [b - a for a, b in segments], axis=0)
+
+
+def masked_mean(x: Tensor, mask: np.ndarray, offsets=None) -> Tensor:
+    """Mean over the rows selected by a boolean mask; all-false gives zeros.
+
+    With ``offsets`` (see :func:`message_layer`) the rows are several
+    packed graphs and the result has one mean per graph, each over that
+    graph's selected rows.
+    """
     mask = np.asarray(mask, dtype=bool)
     shape = x.value.shape
     if mask.shape != (shape[0],):
         raise ValueError(f"mask length {mask.shape} does not match {shape[0]} rows")
-    k = max(int(mask.sum()), 1)
+    segments = _segments(offsets, shape[0])
+    means = np.empty((len(segments), shape[1]))
+    counts = np.empty((len(segments), 1))
+    for row, count, (a, b) in zip(means, counts, segments):
+        selected = mask[a:b]
+        np.add.reduce(x.value[a:b][selected], axis=0, out=row)
+        count[0] = max(np.count_nonzero(selected), 1)
+    means /= counts
 
     def backward(g):
         gx = np.zeros(shape)
-        gx[mask] = g / k
+        for (a, b), row in zip(segments, g.reshape(means.shape) / counts):
+            gx[a:b][mask[a:b]] = row
         return (gx,)
 
-    return x.tape._record((x,), x.value[mask].sum(axis=0) / k, backward)
+    return x.tape._record((x,), means if offsets is not None else means[0], backward)
 
 
-def _normalize(x, gamma, beta, running, eps):
+def _normalize(x, gamma, beta, running, eps, segments=None):
     """Row normalization with batch statistics (``running is None``) or frozen ones.
 
-    Returns the output, the normalized input, the inverse deviation and
-    the statistics used.
+    Batch statistics are taken per graph over ``segments`` (all rows when
+    None), one row per graph. Returns the output, the normalized input,
+    the inverse deviation and the statistics used.
     """
-    mean, var = (x.mean(axis=0), x.var(axis=0)) if running is None else running
-    inv = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv
+    if running is None:
+        segments = segments or [(0, len(x))]
+        mean = _segment_means(x, segments)
+        centred = x - _per_row(mean, segments)
+        var = _segment_means(centred * centred, segments)  # as x.var(axis=0) computes it
+        inv = _per_row(1.0 / np.sqrt(var + eps), segments)
+        x_hat = centred * inv
+    else:
+        mean, var = running
+        inv = 1.0 / np.sqrt(var + eps)
+        x_hat = (x - mean) * inv
     return gamma * x_hat + beta, x_hat, inv, mean, var
 
 
-def _normalize_backward(g, gamma, x_hat, inv, batch_stats: bool):
-    """Gradients w.r.t. (x, gamma, beta); through the statistics when they are the batch's."""
+def _normalize_backward(g, gamma, x_hat, inv, batch_stats: bool, segments=None):
+    """Gradients w.r.t. (x, gamma, beta); through each graph's statistics when they are the batch's."""
     g_gamma = (g * x_hat).sum(axis=0)
     g_beta = g.sum(axis=0)
     gxh = g * gamma
     if batch_stats:
-        gx = inv * (gxh - gxh.mean(axis=0) - x_hat * (gxh * x_hat).mean(axis=0))
+        segments = segments or [(0, len(g))]
+
+        def row_means(a):
+            return _per_row(_segment_means(a, segments), segments)
+
+        gx = inv * (gxh - row_means(gxh) - x_hat * row_means(gxh * x_hat))
     else:
         gx = gxh * inv
     return gx, g_gamma, g_beta
@@ -267,6 +332,8 @@ def message_layer(
     edge_index: np.ndarray,
     running: tuple[np.ndarray, np.ndarray] | None = None,
     eps: float = 1e-5,
+    *,
+    offsets=None,
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """One bond-typed convolution layer, normalized and rectified, as one tape entry.
 
@@ -285,7 +352,16 @@ def message_layer(
     otherwise, scaled by ``gamma``, shifted by ``beta`` and passed
     through ReLU.
 
-    Returns the output and the mean and variance it normalized with.
+    The rows may be several graphs packed as a disjoint union: atoms
+    stacked graph after graph, ``edge_index`` in the stacked numbering,
+    and ``offsets`` holding each graph's first atom followed by the atom
+    count. Messages never cross graphs, since no edge does; batch
+    statistics are then taken per graph, so each graph is normalized as
+    if it ran alone. Running statistics apply to every row alike.
+
+    Returns the output and the mean and variance it normalized with:
+    shape ``(H,)``, or ``(G, H)`` with one row per graph when batch
+    statistics are taken over ``offsets``.
     """
     hv, ev = h.value, e.value
     n, hdim = hv.shape
@@ -300,6 +376,7 @@ def message_layer(
     if edge_index.shape[0] != n_edges:
         raise ValueError("edge index length does not match edge count")
     receiver, neighbor = edge_index[:, 0], edge_index[:, 1]
+    segments = _segments(offsets, n)
 
     # row b*H + i of stacked is row i of W_b, so (h @ stacked.T)[w, b*H + i] = (W_b @ h_w)[i]
     stacked = np.concatenate([edge_weight.value, edge_bias.value[None, :]]).reshape(types * hdim, hdim)
@@ -311,12 +388,16 @@ def message_layer(
     root_wv, gamma_v = root_weight.value, gamma.value
     pre = hv @ root_wv + root_bias.value
     pre += _scatter_rows(messages, receiver, n) * inv_count[:, None]
-    normed, x_hat, inv, mean, var = _normalize(pre, gamma_v, beta.value, running, eps)
+    normed, x_hat, inv, mean, var = _normalize(pre, gamma_v, beta.value, running, eps, segments)
+    if running is None and offsets is None:
+        mean, var = mean[0], var[0]
     active = normed > 0.0
     batch_stats = running is None
 
     def backward(g):
-        g_pre, g_gamma, g_beta = _normalize_backward(g * active, gamma_v, x_hat, inv, batch_stats)
+        g_pre, g_gamma, g_beta = _normalize_backward(
+            g * active, gamma_v, x_hat, inv, batch_stats, segments
+        )
         g_messages = (g_pre * inv_count[:, None])[receiver]
         g_e = np.matmul(gathered[:, :width], g_messages[:, :, None])[:, :, 0]
         g_typed = _scatter_rows(
@@ -404,7 +485,7 @@ def batchnorm_train(
     def backward(g):
         return _normalize_backward(g, gamma_v, x_hat, inv, True)
 
-    return x.tape._record((x, gamma, beta), out, backward), mean, var
+    return x.tape._record((x, gamma, beta), out, backward), mean[0], var[0]
 
 
 def batchnorm_eval(

@@ -66,26 +66,60 @@ class LossConfig:
         return cls(**d)
 
 
-def _squared_error(y_hat: Tensor, y: float) -> Tensor:
-    d = ad.sub(y_hat, y_hat.tape.constant(np.array([float(y)])))
+def _squared_error(y_hat: Tensor, y) -> Tensor:
+    """Sum of squared differences; ``y`` holds one label per entry of ``y_hat``."""
+    labels = np.reshape(np.asarray(y, dtype=np.float64), y_hat.value.shape)
+    d = ad.sub(y_hat, y_hat.tape.constant(labels))
     return ad.sum_all(ad.mul(d, d))
 
 
-def loss_mse(trace_i: ForwardTrace, trace_j: ForwardTrace, y_i: float, y_j: float) -> Tensor:
-    """Squared error of both main predictions against their labels."""
+def _labelled(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y_j: float):
+    """The pair as (trace, labels) parts: two one-graph traces, or one packed trace of both."""
+    if trace_j is None:
+        if trace_i.num_graphs != 2:
+            raise ValueError(f"a packed pair trace holds 2 graphs, not {trace_i.num_graphs}")
+        return [(trace_i, (y_i, y_j))]
     if trace_i.tape is not trace_j.tape:
         raise ValueError("pair traces must share one tape")
-    return ad.add(_squared_error(trace_i.y_hat, y_i), _squared_error(trace_j.y_hat, y_j))
+    return [(trace_i, (y_i,)), (trace_j, (y_j,))]
 
 
-def _readout_term(trace: ForwardTrace, head: str, y: float) -> Tensor:
+def _summed(terms: list[Tensor]) -> Tensor:
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
+
+
+def _readout_term(trace: ForwardTrace, head: str, y) -> Tensor:
     s = trace.binding.linear(f"scalarize_{head}", getattr(trace, f"a_{head}"))
     return _squared_error(s, y)
 
 
+def _mse(parts) -> Tensor:
+    return _summed([_squared_error(trace.y_hat, y) for trace, y in parts])
+
+
+def _node(parts, variant: str) -> Tensor:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown loss variant {variant!r}")
+    total = _summed([_readout_term(trace, "ucn", y) for trace, y in parts])
+    if variant != "ucn":
+        total = ad.add(total, _summed([_readout_term(trace, "cn", y) for trace, y in parts]))
+    return total
+
+
+def loss_mse(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y_j: float) -> Tensor:
+    """Squared error of both main predictions against their labels.
+
+    ``trace_j`` is None when ``trace_i`` holds both compounds packed.
+    """
+    return _mse(_labelled(trace_i, trace_j, y_i, y_j))
+
+
 def loss_node(
     trace_i: ForwardTrace,
-    trace_j: ForwardTrace,
+    trace_j: ForwardTrace | None,
     y_i: float,
     y_j: float,
     variant: str = "n",
@@ -94,29 +128,26 @@ def loss_node(
 
     Both head activations come from the traces; only the scalarize maps
     are added here. The ``ucn`` variant keeps just the uncommon terms.
+    ``trace_j`` is None when ``trace_i`` holds both compounds packed.
     """
-    if trace_i.tape is not trace_j.tape:
-        raise ValueError("pair traces must share one tape")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown loss variant {variant!r}")
-    total = ad.add(_readout_term(trace_i, "ucn", y_i), _readout_term(trace_j, "ucn", y_j))
-    if variant != "ucn":
-        common = ad.add(_readout_term(trace_i, "cn", y_i), _readout_term(trace_j, "cn", y_j))
-        total = ad.add(total, common)
-    return total
+    return _node(_labelled(trace_i, trace_j, y_i, y_j), variant)
 
 
 def pair_loss(
     trace_i: ForwardTrace,
-    trace_j: ForwardTrace,
+    trace_j: ForwardTrace | None,
     y_i: float,
     y_j: float,
     config: LossConfig,
 ) -> Tensor:
-    """Smooth objective for one pair: squared error plus weighted node loss."""
-    total = loss_mse(trace_i, trace_j, y_i, y_j)
-    node = loss_node(trace_i, trace_j, y_i, y_j, config.variant)
-    return ad.add(total, ad.scale(node, config.node_loss_weight))
+    """Smooth objective for one pair: squared error plus weighted node loss.
+
+    Takes the two compounds' one-graph traces on one tape, or, with
+    ``trace_j`` None, one trace of both compounds packed in pair order.
+    Both give the same value up to float summation order.
+    """
+    parts = _labelled(trace_i, trace_j, y_i, y_j)
+    return ad.add(_mse(parts), ad.scale(_node(parts, config.variant), config.node_loss_weight))
 
 
 def penalty_group_lasso(beta_cn: np.ndarray, beta_ucn: np.ndarray, lam: float) -> float:

@@ -16,6 +16,14 @@ normalization, ReLU) is the single tape entry ``ad.message_layer``.
 
 Masks are per-pair inputs. Standalone prediction uses all-true masks,
 so a single compound is scored without reference to any partner.
+
+One forward takes one graph or several packed as a disjoint union
+(atoms stacked graph after graph, with each graph's first atom in
+``offsets``, as PyTorch Geometric's ``Batch`` packs graphs). No edge
+crosses graphs; train-mode normalization and both readouts are taken
+per graph, so a packed graph gets the result it would get alone, up to
+float summation order. Eval mode applies the running statistics to
+every atom alike. Training packs the two compounds of a pair.
 """
 
 from __future__ import annotations
@@ -28,13 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
-from .molgraph import (
-    ATOM_FEATURE_WIDTH,
-    BOND_FEATURE_WIDTH,
-    MolecularGraph,
-    atom_features,
-    bond_features,
-)
+from .molgraph import ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH, MolecularGraph
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -200,7 +202,13 @@ class ModelBinding:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass produced, still attached to its tape."""
+    """Everything one forward pass produced, still attached to its tape.
+
+    A one-graph trace holds vectors: readouts and head outputs of shape
+    ``(H,)``, ``y_hat`` of shape ``(1,)`` and, per layer, batch statistics
+    of shape ``(H,)``. A trace of G packed graphs (``offsets`` set) holds
+    one row per graph in each: ``(G, H)``, ``(G, 1)`` and ``(G, H)``.
+    """
 
     tape: Tape
     binding: ModelBinding
@@ -215,10 +223,22 @@ class ForwardTrace:
     y_hat: Tensor
     bn_batch: list[tuple[np.ndarray, np.ndarray]]
     train: bool
+    offsets: np.ndarray | None = None
+
+    @property
+    def num_graphs(self) -> int:
+        return 1 if self.offsets is None else len(self.offsets) - 1
+
+    @property
+    def predictions(self) -> np.ndarray:
+        """One prediction per graph, in packing order."""
+        return self.y_hat.value.reshape(-1)
 
     @property
     def prediction(self) -> float:
-        return float(self.y_hat.value[0])
+        if self.num_graphs != 1:
+            raise ValueError(f"trace holds {self.num_graphs} graphs; read predictions")
+        return float(self.y_hat.value.reshape(-1)[0])
 
 
 def _check_masks(n: int, common_mask, uncommon_mask) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +259,17 @@ def forward_from_arrays(
     train: bool = False,
     tape: Tape | None = None,
     binding: ModelBinding | None = None,
+    *,
+    offsets=None,
 ) -> ForwardTrace:
     """Forward pass from raw feature arrays (the graph-level entry wraps this).
+
+    The arrays describe one graph, or, with ``offsets``, several graphs
+    packed as a disjoint union: atom rows stacked graph after graph,
+    edge rows likewise with ``edge_index`` in the stacked numbering, and
+    ``offsets`` holding each graph's first atom followed by the total
+    atom count. A packed forward gives every graph the result it would
+    get alone, up to float summation order.
 
     Pass an existing tape/binding pair to put several forwards, and a
     loss over them, on one tape. Train mode normalizes each graph with
@@ -276,13 +305,13 @@ def forward_from_arrays(
         state = model.bn_state[layer]
         h, mean, var = ad.message_layer(
             h, e, *(binding[f"conv{layer}.{name}"] for name in _CONV_PARAMS), edge_index,
-            running=None if train else (state.mean, state.var), eps=BN_EPS,
+            running=None if train else (state.mean, state.var), eps=BN_EPS, offsets=offsets,
         )
         if train:
             bn_batch.append((mean, var))
 
-    r_cn = ad.masked_mean(h, common)
-    r_ucn = ad.masked_mean(h, uncommon)
+    r_cn = ad.masked_mean(h, common, offsets)
+    r_ucn = ad.masked_mean(h, uncommon, offsets)
     a_cn = binding.linear("head_cn", r_cn)
     a_ucn = binding.linear("head_ucn", r_ucn)
     combined = binding.linear("combine", ad.concat(a_cn, a_ucn))
@@ -301,41 +330,67 @@ def forward_from_arrays(
         y_hat=y_hat,
         bn_batch=bn_batch,
         train=train,
+        offsets=offsets,
     )
 
 
 def forward(
     model: MpnnModel,
-    graph: MolecularGraph,
+    graph,
     common_mask=None,
     uncommon_mask=None,
     train: bool = False,
     tape: Tape | None = None,
     binding: ModelBinding | None = None,
 ) -> ForwardTrace:
-    """Featurize a graph and run the network; masks default to all-true."""
-    x_array = atom_features(graph)
-    e_array, edge_index = bond_features(graph)
-    n = graph.num_atoms
-    if common_mask is None:
-        common_mask = np.ones(n, dtype=bool)
-    if uncommon_mask is None:
-        uncommon_mask = np.ones(n, dtype=bool)
+    """Run the network on one graph, or on a sequence of graphs in one packed forward.
+
+    Masks default to all-true. For a sequence of graphs each mask
+    argument is a sequence with one mask (or None) per graph, and the
+    trace holds one prediction and one pair of readouts per graph.
+    Features are read from each graph's cache.
+    """
+    if isinstance(graph, MolecularGraph):
+        graphs, masks, offsets = [graph], [(common_mask, uncommon_mask)], None
+    else:
+        graphs = list(graph)
+        n = len(graphs)
+        common = [None] * n if common_mask is None else list(common_mask)
+        uncommon = [None] * n if uncommon_mask is None else list(uncommon_mask)
+        if not graphs or len(common) != n or len(uncommon) != n:
+            raise ValueError(f"{n} graphs need one common and one uncommon mask each")
+        masks = list(zip(common, uncommon))
+        offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+    checked = [
+        _check_masks(g.num_atoms, *(np.ones(g.num_atoms, dtype=bool) if m is None else m for m in pair))
+        for g, pair in zip(graphs, masks)
+    ]
+    features = [g.features for g in graphs]
     return forward_from_arrays(
-        model, x_array, e_array, edge_index, common_mask, uncommon_mask,
-        train=train, tape=tape, binding=binding,
+        model,
+        np.concatenate([x for x, _, _ in features]),
+        np.concatenate([e for _, e, _ in features]),
+        np.concatenate([index + start for (_, _, index), start in zip(features, [0] if offsets is None else offsets)]),
+        np.concatenate([common for common, _ in checked]),
+        np.concatenate([uncommon for _, uncommon in checked]),
+        train=train, tape=tape, binding=binding, offsets=offsets,
     )
 
 
 def commit_bn_stats(model: MpnnModel, trace: ForwardTrace) -> None:
-    """Fold one train-mode forward's batch statistics into the running estimates."""
+    """Fold a train-mode forward's batch statistics into the running estimates.
+
+    A packed trace's graphs are folded in packing order, each as one
+    update, exactly as committing their one-graph traces in turn would.
+    """
     if not trace.train:
         raise ValueError("only train-mode traces carry batch statistics")
-    for layer, (mean, var) in enumerate(trace.bn_batch):
+    for layer, (means, variances) in enumerate(trace.bn_batch):
         state = model.bn_state[layer]
-        state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean
-        state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
-        state.updates += 1
+        for mean, var in zip(np.atleast_2d(means), np.atleast_2d(variances)):
+            state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean
+            state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
+            state.updates += 1
 
 
 def predict_affinity(model: MpnnModel, graph: MolecularGraph) -> float:

@@ -92,6 +92,9 @@ class MolecularGraph:
     _adjacency: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    _features: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         n = len(self.atoms)
@@ -122,6 +125,20 @@ class MolecularGraph:
 
     def degree(self, i: int) -> int:
         return len(self._adjacency[i])
+
+    @property
+    def features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(atom features, bond features, edge index)``, computed on first use.
+
+        The arrays are cached on the graph and read-only; :func:`atom_features`
+        and :func:`bond_features` return fresh, writable copies.
+        """
+        if self._features is None:
+            arrays = (atom_features(self), *bond_features(self))
+            for a in arrays:
+                a.flags.writeable = False
+            object.__setattr__(self, "_features", arrays)
+        return self._features
 
     def bond_between(self, i: int, j: int) -> Bond | None:
         if i > j:

@@ -7,6 +7,12 @@ two head blocks (using the learning rate as the proximal step size).
 Early stopping watches validation RMSE with a minimum improvement of
 ``min_delta`` and returns the parameters of the best epoch.
 
+Each update runs the pair's two compounds as one packed train-mode
+forward (each normalized by its own atoms), one pair loss and one
+backward sweep; evaluation likewise scores each pair in one eval-mode
+forward. Packing never crosses pairs: minibatching different pairs
+would change what an update is.
+
 Everything here is deterministic for a fixed seed and config. Reported
 wall time is informative only: it is excluded from comparisons and from
 serialized reports so that reruns stay byte-identical.
@@ -26,14 +32,14 @@ from .evaluation import rmse
 from .losses import LossConfig, apply_prox, pair_loss
 from .model import (
     BnRunningState,
-    ModelBinding,
+    ForwardTrace,
     ModelConfig,
     MpnnModel,
     _layer_specs,
     commit_bn_stats,
     forward,
 )
-from .autodiff import Parameter, Tape
+from .autodiff import Parameter
 from .pairs import CliffPair, DatasetSplit
 
 CHECKPOINT_SCHEMA = "mpnn-ckpt/2"
@@ -165,22 +171,23 @@ class AdamState:
             model.params[name].value -= step
 
 
+def _pair_forward(model: MpnnModel, pair: CliffPair, train: bool) -> ForwardTrace:
+    """Both compounds of a pair, each with its own masks, in one packed forward."""
+    return forward(
+        model, (pair.graph_i, pair.graph_j),
+        (pair.common_mask_i, pair.common_mask_j), (pair.uncommon_mask_i, pair.uncommon_mask_j),
+        train=train,
+    )
+
+
 def _pair_update(
     model: MpnnModel, pair: CliffPair, loss_config: LossConfig
-) -> tuple[float, dict[str, np.ndarray], list]:
-    tape = Tape()
-    binding = ModelBinding(model, tape)
-    trace_i = forward(
-        model, pair.graph_i, pair.common_mask_i, pair.uncommon_mask_i,
-        train=True, tape=tape, binding=binding,
-    )
-    trace_j = forward(
-        model, pair.graph_j, pair.common_mask_j, pair.uncommon_mask_j,
-        train=True, tape=tape, binding=binding,
-    )
-    loss = pair_loss(trace_i, trace_j, pair.y_i, pair.y_j, loss_config)
-    grads = tape.backward(loss)
-    return float(loss.value), binding.gradient_by_name(grads), [trace_i, trace_j]
+) -> tuple[float, dict[str, np.ndarray], ForwardTrace]:
+    """Loss and gradients of one pair from one train-mode forward over both compounds."""
+    trace = _pair_forward(model, pair, train=True)
+    loss = pair_loss(trace, None, pair.y_i, pair.y_j, loss_config)
+    grads = trace.tape.backward(loss)
+    return float(loss.value), trace.binding.gradient_by_name(grads), trace
 
 
 def train(
@@ -213,11 +220,10 @@ def train(
         epoch_loss = 0.0
         for k in order:
             pair = split.train[k]
-            loss_value, grads, traces = _pair_update(work, pair, loss_config)
+            loss_value, grads, trace = _pair_update(work, pair, loss_config)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, pair.pair_id, loss_value)
-            for trace in traces:
-                commit_bn_stats(work, trace)
+            commit_bn_stats(work, trace)
             adam.update(work, grads)
             apply_prox(work, loss_config, step=train_config.learning_rate)
             epoch_loss += loss_value
@@ -266,21 +272,23 @@ class SplitEvaluation:
 
 
 def evaluate_split(model: MpnnModel, pairs) -> SplitEvaluation:
-    """Eval-mode predictions with each pair's own masks, in pair order."""
+    """Eval-mode predictions with each pair's own masks, in pair order.
+
+    Each pair's two compounds run in one packed forward. A split is not
+    packed whole: one forward would then hold the typed states of every
+    atom and bond of the split at once, about 15 MB for 148 compounds
+    (1 642 atoms) at ``hidden_dim=64``.
+    """
     pair_ids: list[str] = []
     compound_ids: list[str] = []
     targets: list[float] = []
     predictions: list[float] = []
     for pair in pairs:
-        for graph, cmask, umask, y, cid in (
-            (pair.graph_i, pair.common_mask_i, pair.uncommon_mask_i, pair.y_i, pair.compound_i),
-            (pair.graph_j, pair.common_mask_j, pair.uncommon_mask_j, pair.y_j, pair.compound_j),
-        ):
-            trace = forward(model, graph, cmask, umask, train=False)
-            pair_ids.append(pair.pair_id)
-            compound_ids.append(cid)
-            targets.append(y)
-            predictions.append(trace.prediction)
+        trace = _pair_forward(model, pair, train=False)
+        pair_ids += [pair.pair_id, pair.pair_id]
+        compound_ids += [pair.compound_i, pair.compound_j]
+        targets += [pair.y_i, pair.y_j]
+        predictions.extend(trace.predictions)
     return SplitEvaluation(pair_ids, compound_ids, np.asarray(targets), np.asarray(predictions))
 
 

@@ -154,8 +154,10 @@ def test_batchnorm_eval_affine_grads():
 
 
 # atom 3 has no bonds; "C" is one atom and no bonds
-ISOLATED_ATOM = (4, np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]]))
-NO_BONDS = (1, np.zeros((0, 2), dtype=np.int64))
+ISOLATED_ATOM = (4, np.array([[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]]), None)
+NO_BONDS = (1, np.zeros((0, 2), dtype=np.int64), None)
+# the two packed as a disjoint union: atoms 0-3, then atom 4
+PACKED = (5, ISOLATED_ATOM[1], np.array([0, 4, 5]))
 
 
 def _per_edge_message_layer(arrays, edge_index, running, eps=1e-5):
@@ -172,29 +174,76 @@ def _per_edge_message_layer(arrays, edge_index, running, eps=1e-5):
     return np.maximum(gamma * (pre - mean) / np.sqrt(var + eps) + beta, 0.0)
 
 
-@pytest.mark.parametrize("graph", [ISOLATED_ATOM, NO_BONDS], ids=["isolated-atom", "no-bonds"])
+@pytest.mark.parametrize(
+    "graph", [ISOLATED_ATOM, NO_BONDS, PACKED], ids=["isolated-atom", "no-bonds", "packed"]
+)
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_message_layer_values_and_grads(graph, mode):
     rng = np.random.default_rng(8)
-    n, edge_index = graph
+    n, edge_index, offsets = graph
     hdim, width = 3, 5
     shapes = [(n, hdim), (len(edge_index), width), (width, hdim * hdim), (hdim * hdim,),
               (hdim, hdim), (hdim,), (hdim,), (hdim,)]
     arrays = [rng.standard_normal(s) for s in shapes]
     running = None if mode == "train" else (rng.standard_normal(hdim), rng.uniform(0.5, 1.5, hdim))
     tape = Tape()
-    out, mean, var = ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, running)
-    assert np.allclose(out.value, _per_edge_message_layer(arrays, edge_index, running), atol=1e-12)
+    out, mean, var = ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, running,
+                                      offsets=offsets)
+    if offsets is not None and running is None:
+        # each graph normalized by its own statistics: the layer run on each graph alone
+        h, e = arrays[:2]
+        want = np.concatenate([
+            _per_edge_message_layer([h[:4], e, *arrays[2:]], edge_index, None),
+            _per_edge_message_layer([h[4:], e[:0], *arrays[2:]], NO_BONDS[1], None),
+        ])
+        assert mean.shape == var.shape == (2, hdim)
+    else:
+        want = _per_edge_message_layer(arrays, edge_index, running)
+    assert np.allclose(out.value, want, atol=1e-12)
     if running is not None:
         assert mean is running[0] and var is running[1]
     proj = rng.standard_normal((n, hdim))
 
     def build(tape, xs):
-        out, _, _ = ad.message_layer(*xs, edge_index, running)
+        out, _, _ = ad.message_layer(*xs, edge_index, running, offsets=offsets)
         return ad.sum_all(ad.mul(out, tape.constant(proj)))
 
     # every one of the eight inputs: h, e, edge weight/bias, root weight/bias, scale, shift
     check_op(build, shapes, rng, rel_tol=1e-5)
+
+
+def test_message_layer_rejects_offsets_that_do_not_split_the_atoms():
+    tape = Tape()
+    n, edge_index, _ = ISOLATED_ATOM
+    arrays = [np.ones(s) for s in [(n, 2), (len(edge_index), 1), (1, 4), (4,), (2, 2), (2,), (2,), (2,)]]
+    for offsets in ([0, 4, 4], [0, 3], [1, 4], [0]):
+        with pytest.raises(ValueError, match="offsets"):
+            ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, offsets=offsets)
+
+
+def test_masked_mean_per_packed_graph():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, 3))
+    offsets = np.array([0, 4, 6])
+    mask = np.array([True, False, True, True, False, False])  # none of the second graph
+    tape = Tape()
+    tx = tape.leaf(x)
+    out = ad.masked_mean(tx, mask, offsets)
+    assert out.value.shape == (2, 3)
+    assert np.allclose(out.value[0], x[:4][mask[:4]].mean(axis=0), atol=1e-15)
+    assert np.array_equal(out.value[1], np.zeros(3))
+    check_op(lambda t, xs: ad.sum_all(ad.mul(ad.masked_mean(xs[0], mask, offsets),
+                                             ad.masked_mean(xs[0], ~mask, offsets))), [(6, 3)], rng)
+
+
+def test_concat_joins_rows():
+    rng = np.random.default_rng(9)
+    weights = np.arange(10.0).reshape(2, 5)
+    check_op(lambda t, xs: ad.sum_all(ad.mul(ad.concat(xs[0], xs[1]), t.constant(weights))),
+             [(2, 2), (2, 3)], rng)
+    tape = Tape()
+    with pytest.raises(ValueError, match="concat"):
+        ad.concat(tape.leaf(np.ones((2, 2))), tape.leaf(np.ones((3, 2))))
 
 
 def test_backward_requires_scalar_and_same_tape():

@@ -79,6 +79,26 @@ def test_loss_node_n_dominates_ucn():
     assert full >= ucn_only
 
 
+@pytest.mark.parametrize("variant", ["ucn", "n", "n-sgl"])
+def test_packed_pair_loss_matches_two_traces(variant):
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=3)
+    config = LossConfig(variant=variant, node_loss_weight=0.7)
+    masks = (np.array([1, 1, 0], bool), np.array([0, 0, 1], bool),
+             np.array([1, 1, 1], bool), np.array([0, 0, 0], bool))
+    ti, tj = make_traces(model, "CCO", "CCN", masks)
+    two = pair_loss(ti, tj, 1.0, 2.5, config)
+    two_grads = ti.binding.gradient_by_name(ti.tape.backward(two))
+    packed = forward(model, (parse_smiles("CCO"), parse_smiles("CCN")),
+                     masks[0::2], masks[1::2], train=True)
+    one = pair_loss(packed, None, 1.0, 2.5, config)
+    one_grads = packed.binding.gradient_by_name(packed.tape.backward(one))
+    assert abs(float(one.value) - float(two.value)) <= 1e-12 * abs(float(two.value))
+    for name, grad in two_grads.items():
+        assert np.allclose(one_grads[name], grad, rtol=1e-12, atol=1e-12), name
+    with pytest.raises(ValueError, match="2 graphs"):
+        pair_loss(ti, None, 1.0, 2.5, config)
+
+
 def test_pair_loss_composition():
     model = init_parameters(ModelConfig(hidden_dim=4), seed=3)
     config = LossConfig(variant="n", node_loss_weight=0.25)

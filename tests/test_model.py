@@ -4,9 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
+from cliffkit import autodiff as ad
+from cliffkit.autodiff import Tape
+from cliffkit.losses import LossConfig
 from cliffkit.model import (
     BN_EPS,
     CompatibilityError,
+    ModelBinding,
     ModelConfig,
     UninitializedStatsError,
     commit_bn_stats,
@@ -16,6 +20,8 @@ from cliffkit.model import (
     predict_affinity,
 )
 from cliffkit.molgraph import Bond, MolecularGraph, atom_features, bond_features, parse_smiles
+from cliffkit.pairs import CompoundRecord, build_pair, max_common_substructure
+from cliffkit.training import _pair_update
 
 
 def permuted(graph, perm):
@@ -175,6 +181,108 @@ def test_one_forward_records_at_most_16_tape_entries():
     model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
     trace = forward(model, parse_smiles("CC(=O)Oc1ccccc1"), train=True)
     assert len(trace.tape._entries) <= 16
+
+
+# an aromatic ester with a half-common mask, and the bond-free "C" with an
+# all-false uncommon mask
+PACKED_GRAPHS = (parse_smiles("CC(=O)Oc1ccccc1"), parse_smiles("C"))
+PACKED_COMMON = (np.arange(10) % 2 == 0, np.ones(1, dtype=bool))
+PACKED_UNCOMMON = (~PACKED_COMMON[0], np.zeros(1, dtype=bool))
+
+
+def _weighted_sum(trace, weights):
+    """A scalar of the trace's per-graph outputs, so every output gets a gradient."""
+    total = None
+    for name in ("y_hat", "r_cn", "r_ucn", "a_cn", "a_ucn"):
+        out = getattr(trace, name)
+        term = ad.sum_all(ad.mul(out, trace.tape.constant(weights[name].reshape(out.shape))))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def _close(a, b, tol=1e-12):
+    """Relative agreement, or absolute where the values are below ``tol``."""
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return np.abs(a - b).max(initial=0.0) <= tol * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_packed_forward_equals_single_forwards(train):
+    rng = np.random.default_rng(12)
+    model = init_parameters(ModelConfig(hidden_dim=6), seed=5)
+    for layer in range(model.config.message_layers):
+        model.params[f"conv{layer}.bn.shift"].value = rng.normal(size=6)
+    commit_bn_stats(model, forward(model, PACKED_GRAPHS[0], train=True))
+    h = model.config.hidden_dim
+    weights = [{"y_hat": rng.normal(size=1), **{k: rng.normal(size=h) for k in
+                ("r_cn", "r_ucn", "a_cn", "a_ucn")}} for _ in PACKED_GRAPHS]
+
+    packed = forward(model, PACKED_GRAPHS, PACKED_COMMON, PACKED_UNCOMMON, train=train)
+    packed_grads = packed.tape.backward(_weighted_sum(
+        packed, {k: np.stack([w[k] for w in weights]) for k in weights[0]}))
+    tape = Tape()
+    binding = ModelBinding(model, tape)
+    singles = [forward(model, g, c, u, train=train, tape=tape, binding=binding)
+               for g, c, u in zip(PACKED_GRAPHS, PACKED_COMMON, PACKED_UNCOMMON)]
+    single_grads = tape.backward(ad.add(*(_weighted_sum(t, w) for t, w in zip(singles, weights))))
+
+    assert packed.num_graphs == 2 and packed.y_hat.value.shape == (2, 1)
+    assert np.array_equal(packed.offsets, [0, 10, 11])
+    assert len(packed.bn_batch) == (3 if train else 0)
+    for k, single in enumerate(singles):
+        for name in ("y_hat", "r_cn", "r_ucn", "a_cn", "a_ucn"):
+            assert _close(getattr(packed, name).value[k], getattr(single, name).value), name
+        for (means, variances), (mean, var) in zip(packed.bn_batch, single.bn_batch):
+            assert _close(means[k], mean) and _close(variances[k], var)
+    assert np.array_equal(packed.r_ucn.value[1], np.zeros(h))  # the all-false mask
+    assert _close(packed.predictions, [t.prediction for t in singles])
+    rows, edges = (0, 10, 11), (0, 20, 20)
+    for k, single in enumerate(singles):
+        assert _close(packed_grads[packed.x.id][rows[k]:rows[k + 1]], single_grads[single.x.id])
+        if edges[k + 1] > edges[k]:
+            assert _close(packed_grads[packed.e.id][edges[k]:edges[k + 1]], single_grads[single.e.id])
+    by_name = packed.binding.gradient_by_name(packed_grads)
+    for name, grad in binding.gradient_by_name(single_grads).items():
+        assert _close(by_name[name], grad), name
+
+
+def test_committing_a_packed_trace_folds_the_graphs_in_order():
+    model = init_parameters(ModelConfig(hidden_dim=6), seed=5)
+    packed = forward(model, PACKED_GRAPHS, PACKED_COMMON, PACKED_UNCOMMON, train=True)
+    singles = [forward(model, g, c, u, train=True)
+               for g, c, u in zip(PACKED_GRAPHS, PACKED_COMMON, PACKED_UNCOMMON)]
+    one, two = model.copy(), model.copy()
+    commit_bn_stats(one, packed)
+    for trace in singles:
+        commit_bn_stats(two, trace)
+    for a, b in zip(one.bn_state, two.bn_state):
+        assert a.updates == b.updates == 2
+        assert _close(a.mean, b.mean) and _close(a.var, b.var)
+
+
+def test_one_graph_trace_keeps_vector_shapes():
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
+    trace = forward(model, PACKED_GRAPHS[0], train=True)
+    assert trace.num_graphs == 1 and trace.offsets is None
+    assert trace.y_hat.value.shape == (1,) and trace.r_cn.value.shape == (4,)
+    assert all(mean.shape == var.shape == (4,) for mean, var in trace.bn_batch)
+    packed = forward(model, PACKED_GRAPHS, train=True)
+    with pytest.raises(ValueError, match="2 graphs"):
+        packed.prediction
+    with pytest.raises(ValueError, match="mask each"):
+        forward(model, PACKED_GRAPHS, PACKED_COMMON[:1], train=True)
+    with pytest.raises(ValueError, match="length"):
+        forward(model, PACKED_GRAPHS, PACKED_COMMON[::-1], train=True)
+
+
+def test_pair_update_records_at_most_32_tape_entries():
+    # one packed forward (16) and the pair loss over both compounds (16)
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
+    ri, rj = (CompoundRecord(cid, "T", smi, parse_smiles(smi), y)
+              for cid, smi, y in (("a", "CC(=O)Oc1ccccc1", 6.0), ("b", "CC(=O)Nc1ccccc1", 7.5)))
+    pair = build_pair(ri, rj, max_common_substructure(ri.graph, rj.graph))
+    _, _, trace = _pair_update(model, pair, LossConfig(variant="n-sgl"))
+    assert len(trace.tape._entries) <= 32
 
 
 def test_tape_is_freed_by_reference_counting():

@@ -230,3 +230,22 @@ def test_random_roundtrip_properties():
         assert np.all(x[:, 11:17].sum(axis=1) == 1.0)
         assert np.all(x[:, 17:20].sum(axis=1) == 1.0)
         assert np.all(x[:, 21:].sum(axis=1) == 1.0)
+
+
+def test_features_are_cached_read_only_and_outside_equality():
+    g = parse_smiles("CC(=O)Oc1ccccc1")
+    assert g._features is None  # parsing does not featurize
+    x, e, idx = g.features
+    assert all(a is b for a, b in zip(g.features, (x, e, idx)))
+    assert np.array_equal(x, atom_features(g))
+    assert all(np.array_equal(a, b) for a, b in zip((e, idx), bond_features(g)))
+    for cached in (x, e, idx):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
+    fresh = atom_features(g)
+    fresh[0] = 0.0  # the featurizers still return fresh, writable arrays
+    assert fresh is not x and x[0].sum() > 0
+    other = parse_smiles("CC(=O)Oc1ccccc1")
+    assert g == other and hash(g) == hash(other) and repr(g) == repr(other)
+

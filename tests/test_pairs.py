@@ -242,6 +242,8 @@ def test_generate_cliff_pairs_gates():
     config = PairGenConfig(min_pairs_per_target=1)
     pairs = generate_cliff_pairs(compounds, config)
     assert [p.pair_id for p in pairs] == ["T1:A|B", "T1:B|C"]
+    # mining reads structure only: no graph computes its feature arrays
+    assert all(rec.graph._features is None for rec in compounds)
     # raising the floor drops the whole target
     assert generate_cliff_pairs(compounds, PairGenConfig(min_pairs_per_target=3)) == []
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cliffkit.losses import LossConfig
-from cliffkit.model import ModelConfig, init_parameters
+from cliffkit.model import ModelConfig, forward, init_parameters
 from cliffkit.pairs import (
     PairGenConfig,
     SyntheticConfig,
@@ -203,6 +203,19 @@ def test_evaluate_split_orders_and_counts():
     assert res.rmse == pytest.approx(
         math.sqrt(np.mean((res.predictions - res.targets) ** 2))
     )
+
+
+def test_evaluate_split_matches_one_graph_forwards():
+    # each pair's compounds run in one packed forward; the predictions are
+    # those of one eval-mode forward per compound, in the same order
+    best, _ = train(init_parameters(SMALL, seed=0), SPLIT, LossConfig(variant="n"), FAST)
+    res = evaluate_split(best, SPLIT.validation)
+    singles = [
+        forward(best, graph, common, ~common).prediction
+        for pair in SPLIT.validation
+        for graph, common in ((pair.graph_i, pair.common_mask_i), (pair.graph_j, pair.common_mask_j))
+    ]
+    assert np.allclose(res.predictions, singles, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
