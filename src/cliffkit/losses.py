@@ -66,13 +66,6 @@ class LossConfig:
         return cls(**d)
 
 
-def _squared_error(y_hat: Tensor, y) -> Tensor:
-    """Sum of squared differences; ``y`` holds one label per entry of ``y_hat``."""
-    labels = np.reshape(np.asarray(y, dtype=np.float64), y_hat.value.shape)
-    d = ad.sub(y_hat, y_hat.tape.constant(labels))
-    return ad.sum_all(ad.mul(d, d))
-
-
 def _labelled(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y_j: float):
     """The pair as (trace, labels) parts: two one-graph traces, or one packed trace of both."""
     if trace_j is None:
@@ -84,29 +77,20 @@ def _labelled(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y
     return [(trace_i, (y_i,)), (trace_j, (y_j,))]
 
 
-def _summed(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return total
+def _mse_terms(parts) -> list:
+    return [(trace.y_hat, y) for trace, y in parts]
 
 
-def _readout_term(trace: ForwardTrace, head: str, y) -> Tensor:
-    s = trace.binding.linear(f"scalarize_{head}", getattr(trace, f"a_{head}"))
-    return _squared_error(s, y)
-
-
-def _mse(parts) -> Tensor:
-    return _summed([_squared_error(trace.y_hat, y) for trace, y in parts])
-
-
-def _node(parts, variant: str) -> Tensor:
+def _node_terms(parts, variant: str) -> list:
+    """Each head's scalarized readout against the labels: uncommon terms, then common ones."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown loss variant {variant!r}")
-    total = _summed([_readout_term(trace, "ucn", y) for trace, y in parts])
-    if variant != "ucn":
-        total = ad.add(total, _summed([_readout_term(trace, "cn", y) for trace, y in parts]))
-    return total
+    heads = ("ucn",) if variant == "ucn" else ("ucn", "cn")
+    return [
+        (trace.binding.linear(f"scalarize_{head}", getattr(trace, f"a_{head}")), y)
+        for head in heads
+        for trace, y in parts
+    ]
 
 
 def loss_mse(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y_j: float) -> Tensor:
@@ -114,7 +98,7 @@ def loss_mse(trace_i: ForwardTrace, trace_j: ForwardTrace | None, y_i: float, y_
 
     ``trace_j`` is None when ``trace_i`` holds both compounds packed.
     """
-    return _mse(_labelled(trace_i, trace_j, y_i, y_j))
+    return ad.squared_error([(1.0, _mse_terms(_labelled(trace_i, trace_j, y_i, y_j)))])
 
 
 def loss_node(
@@ -130,7 +114,7 @@ def loss_node(
     are added here. The ``ucn`` variant keeps just the uncommon terms.
     ``trace_j`` is None when ``trace_i`` holds both compounds packed.
     """
-    return _node(_labelled(trace_i, trace_j, y_i, y_j), variant)
+    return ad.squared_error([(1.0, _node_terms(_labelled(trace_i, trace_j, y_i, y_j), variant))])
 
 
 def pair_loss(
@@ -144,10 +128,12 @@ def pair_loss(
 
     Takes the two compounds' one-graph traces on one tape, or, with
     ``trace_j`` None, one trace of both compounds packed in pair order.
-    Both give the same value up to float summation order.
+    Both give the same value up to float summation order. All squared
+    errors are one tape entry, after one linear entry per scalarize map.
     """
     parts = _labelled(trace_i, trace_j, y_i, y_j)
-    return ad.add(_mse(parts), ad.scale(_node(parts, config.variant), config.node_loss_weight))
+    node = _node_terms(parts, config.variant)
+    return ad.squared_error([(1.0, _mse_terms(parts)), (config.node_loss_weight, node)])
 
 
 def penalty_group_lasso(beta_cn: np.ndarray, beta_ucn: np.ndarray, lam: float) -> float:

@@ -14,6 +14,13 @@ results are gathered and weighted per bond, so no per-bond matrix is
 formed. Each layer (messages, mean over neighbours, root map,
 normalization, ReLU) is the single tape entry ``ad.message_layer``.
 
+A forward records five tape entries: the node embedding (``ad.linear``),
+one per message layer, and the readout stack (both masked readouts,
+heads, combine and output layers), which is one entry with five
+outputs, ``ad.readout``, so the readouts, head outputs and prediction
+all stay tensors on the tape. The graph's index arrays are built once
+per forward, as an ``ad.GraphIndex`` that every layer reads.
+
 Masks are per-pair inputs. Standalone prediction uses all-true masks,
 so a single compound is scored without reference to any partner.
 
@@ -43,6 +50,10 @@ BN_MOMENTUM = 0.1
 # a message layer's parameters, in the order ad.message_layer takes them
 _CONV_PARAMS = (
     "edge_net.weight", "edge_net.bias", "root.weight", "root.bias", "bn.scale", "bn.shift",
+)
+# the readout stack's parameters, in the order ad.readout takes them
+_READOUT_PARAMS = tuple(
+    f"{layer}.{kind}" for layer in ("head_cn", "head_ucn", "combine", "out") for kind in ("weight", "bias")
 )
 
 
@@ -190,7 +201,7 @@ class ModelBinding:
         return self.leaves[name]
 
     def linear(self, prefix: str, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.leaves[f"{prefix}.weight"]), self.leaves[f"{prefix}.bias"])
+        return ad.linear(x, self.leaves[f"{prefix}.weight"], self.leaves[f"{prefix}.bias"])
 
     def gradient_by_name(self, grads: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
         out = {}
@@ -298,24 +309,23 @@ def forward_from_arrays(
     x = tape.leaf(np.asarray(x_array, dtype=np.float64))
     e = tape.leaf(np.asarray(e_array, dtype=np.float64))
     edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    graph = ad.GraphIndex(edge_index, n, offsets)
 
     h = binding.linear("node_embed", x)
+    leaves = binding.leaves
     bn_batch: list[tuple[np.ndarray, np.ndarray]] = []
     for layer in range(cfg.message_layers):
         state = model.bn_state[layer]
         h, mean, var = ad.message_layer(
-            h, e, *(binding[f"conv{layer}.{name}"] for name in _CONV_PARAMS), edge_index,
-            running=None if train else (state.mean, state.var), eps=BN_EPS, offsets=offsets,
+            h, e, *(leaves[f"conv{layer}.{name}"] for name in _CONV_PARAMS), graph,
+            running=None if train else (state.mean, state.var), eps=BN_EPS,
         )
         if train:
             bn_batch.append((mean, var))
 
-    r_cn = ad.masked_mean(h, common, offsets)
-    r_ucn = ad.masked_mean(h, uncommon, offsets)
-    a_cn = binding.linear("head_cn", r_cn)
-    a_ucn = binding.linear("head_ucn", r_ucn)
-    combined = binding.linear("combine", ad.concat(a_cn, a_ucn))
-    y_hat = binding.linear("out", combined)
+    r_cn, r_ucn, a_cn, a_ucn, y_hat = ad.readout(
+        h, common, uncommon, *(leaves[name] for name in _READOUT_PARAMS), graph
+    )
     return ForwardTrace(
         tape=tape,
         binding=binding,

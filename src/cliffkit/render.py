@@ -47,24 +47,26 @@ def spring_layout(graph: MolecularGraph, compound_id: str) -> np.ndarray:
         pos.flags.writeable = False
         return pos
     k = 1.0 / np.sqrt(n)
+    kk = k * k
+    diagonal = np.arange(n)
     edges = np.array([(b.i, b.j) for b in graph.bonds], dtype=np.int64).reshape(-1, 2)
+    # every bond pulls its first atom by -pull and its second by +pull, in that order
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    first, second = edges[:, 0].copy(), edges[:, 1].copy()
     temperature = 0.18
     cooling = temperature / _LAYOUT_ITERATIONS
     for _ in range(_LAYOUT_ITERATIONS):
         delta = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((delta * delta).sum(axis=2))
-        np.fill_diagonal(dist, 1.0)
-        repulse = (k * k / dist**2)[:, :, None] * delta
-        np.fill_diagonal(repulse[:, :, 0], 0.0)
-        np.fill_diagonal(repulse[:, :, 1], 0.0)
-        force = repulse.sum(axis=1)
+        dist[diagonal, diagonal] = 1.0
+        # delta's diagonal is exactly +0.0, so an atom does not repel itself
+        force = ((kk / dist**2)[:, :, None] * delta).sum(axis=1)
         if edges.size:
-            span = pos[edges[:, 0]] - pos[edges[:, 1]]
+            span = pos[first] - pos[second]
             span_len = np.sqrt((span * span).sum(axis=1, keepdims=True))
             span_len = np.where(span_len == 0.0, 1e-9, span_len)
             pull = span * span_len / k
-            np.add.at(force, edges[:, 0], -pull)
-            np.add.at(force, edges[:, 1], pull)
+            np.add.at(force, ends, np.concatenate([-pull, pull]))
         norms = np.sqrt((force * force).sum(axis=1, keepdims=True))
         norms = np.where(norms == 0.0, 1e-9, norms)
         pos = pos + force / norms * np.minimum(norms, temperature)

@@ -187,8 +187,8 @@ def test_message_layer_values_and_grads(graph, mode):
     arrays = [rng.standard_normal(s) for s in shapes]
     running = None if mode == "train" else (rng.standard_normal(hdim), rng.uniform(0.5, 1.5, hdim))
     tape = Tape()
-    out, mean, var = ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, running,
-                                      offsets=offsets)
+    graph_index = ad.GraphIndex(edge_index, n, offsets)
+    out, mean, var = ad.message_layer(*(tape.leaf(a) for a in arrays), graph_index, running)
     if offsets is not None and running is None:
         # each graph normalized by its own statistics: the layer run on each graph alone
         h, e = arrays[:2]
@@ -205,7 +205,7 @@ def test_message_layer_values_and_grads(graph, mode):
     proj = rng.standard_normal((n, hdim))
 
     def build(tape, xs):
-        out, _, _ = ad.message_layer(*xs, edge_index, running, offsets=offsets)
+        out, _, _ = ad.message_layer(*xs, graph_index, running)
         return ad.sum_all(ad.mul(out, tape.constant(proj)))
 
     # every one of the eight inputs: h, e, edge weight/bias, root weight/bias, scale, shift
@@ -218,7 +218,10 @@ def test_message_layer_rejects_offsets_that_do_not_split_the_atoms():
     arrays = [np.ones(s) for s in [(n, 2), (len(edge_index), 1), (1, 4), (4,), (2, 2), (2,), (2,), (2,)]]
     for offsets in ([0, 4, 4], [0, 3], [1, 4], [0]):
         with pytest.raises(ValueError, match="offsets"):
-            ad.message_layer(*(tape.leaf(a) for a in arrays), edge_index, offsets=offsets)
+            ad.message_layer(*(tape.leaf(a) for a in arrays), ad.GraphIndex(edge_index, n, offsets))
+    # an index built for another graph is refused too
+    with pytest.raises(ValueError, match="graph index"):
+        ad.message_layer(*(tape.leaf(a) for a in arrays), ad.GraphIndex(edge_index[:4], n))
 
 
 def test_masked_mean_per_packed_graph():
@@ -272,3 +275,149 @@ def test_parameter_group_tags_validated():
     Parameter("ok2", np.zeros(3), "other")
     with pytest.raises(ValueError, match="group tag"):
         Parameter("bad", np.zeros(3), "head_cn")
+
+
+def _assert_no_shared_memory(grads):
+    arrays = list(grads.values())
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_backward_gradients_share_no_memory():
+    # add's backward returns its incoming gradient for both inputs
+    tape = Tape()
+    x, y = tape.leaf(np.array([1.0, 2.0])), tape.leaf(np.array([3.0, -1.0]))
+    total = ad.add(x, y)
+    grads = tape.backward(ad.sum_all(total))
+    assert np.array_equal(grads[x.id], [1.0, 1.0]) and np.array_equal(grads[y.id], [1.0, 1.0])
+    assert not np.shares_memory(grads[x.id], grads[y.id])
+    assert not np.shares_memory(grads[x.id], grads[total.id])
+    _assert_no_shared_memory(grads)
+    # concatenation slices its gradient; a linear map's vector bias takes the gradient as is
+    tape = Tape()
+    a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(3))
+    w, bias = tape.leaf(np.ones((5, 2))), tape.leaf(np.zeros(2))
+    grads = tape.backward(ad.sum_all(ad.linear(ad.concat(a, b), w, bias)))
+    assert len(grads) == 7
+    _assert_no_shared_memory(grads)
+
+
+def test_linear_matches_matmul_plus_bias():
+    rng = np.random.default_rng(10)
+    for x_shape in ((4,), (3, 4)):
+        check_op(lambda t, xs: ad.sum_all(ad.mul(ad.linear(*xs), ad.linear(*xs))), [x_shape, (4, 2), (2,)], rng)
+        arrays = [rng.standard_normal(s) for s in (x_shape, (4, 2), (2,))]
+        grads = []
+        for fused in (True, False):
+            tape = Tape()
+            x, w, b = (tape.leaf(a) for a in arrays)
+            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+            grads.append([tape.backward(ad.sum_all(ad.mul(out, out)))[t.id] for t in (x, w, b)])
+            if fused:
+                value = out.value
+        assert np.array_equal(value, arrays[0] @ arrays[1] + arrays[2])
+        assert all(np.array_equal(f, u) for f, u in zip(*grads))
+    tape = Tape()
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(tape.leaf(np.ones(3)), tape.leaf(np.ones((4, 2))), tape.leaf(np.ones(2)))
+
+
+# one graph with a half-common mask; packed: that graph with a one-atom,
+# bond-free graph (like "C") whose uncommon mask is all false
+READOUT_GRAPHS = {
+    "one-graph": (4, None, np.array([True, False, True, True]), np.array([False, True, False, False])),
+    "packed": (5, np.array([0, 4, 5]), np.array([True, False, True, True, True]),
+               np.array([False, True, False, False, False])),
+}
+READOUT_NAMES = ("r_cn", "r_ucn", "a_cn", "a_ucn", "y_hat")
+
+
+def _readout_shapes(n, hdim=3):
+    return [(n, hdim), (hdim, hdim), (hdim,), (hdim, hdim), (hdim,), (2 * hdim, hdim), (hdim,), (hdim, 1), (1,)]
+
+
+def _composed_readout(h, common, uncommon, w_cn, b_cn, w_ucn, b_ucn, w_c, b_c, w_o, b_o, offsets):
+    """The readout stack from the primitive ops, one entry each."""
+    r_cn, r_ucn = ad.masked_mean(h, common, offsets), ad.masked_mean(h, uncommon, offsets)
+    a_cn = ad.add(ad.matmul(r_cn, w_cn), b_cn)
+    a_ucn = ad.add(ad.matmul(r_ucn, w_ucn), b_ucn)
+    combined = ad.add(ad.matmul(ad.concat(a_cn, a_ucn), w_c), b_c)
+    return r_cn, r_ucn, a_cn, a_ucn, ad.add(ad.matmul(combined, w_o), b_o)
+
+
+def _project(tape, outputs, projections, names=READOUT_NAMES):
+    """Scalar sum of the named outputs, each weighted elementwise by a fixed array."""
+    terms = [ad.sum_all(ad.mul(out, tape.constant(projections[name].reshape(out.shape))))
+             for name, out in zip(READOUT_NAMES, outputs) if name in names]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("graph", list(READOUT_GRAPHS))
+def test_readout_values_and_grads(graph):
+    rng = np.random.default_rng(11)
+    n, offsets, common, uncommon = READOUT_GRAPHS[graph]
+    graph_index = ad.GraphIndex(np.zeros((0, 2)), n, offsets)
+    shapes = _readout_shapes(n)
+    rows = 1 if offsets is None else len(offsets) - 1
+    projections = {name: rng.standard_normal((rows, 1 if name == "y_hat" else 3)) for name in READOUT_NAMES}
+    arrays = [rng.standard_normal(s) for s in shapes]
+
+    def build(tape, xs):
+        return _project(tape, ad.readout(xs[0], common, uncommon, *xs[1:], graph_index), projections)
+
+    # every input: the atom states and the eight parameters of heads, combine and output
+    check_op(build, shapes, rng)
+
+    # the fused entry computes what the primitive ops compute, output by output
+    results = []
+    for fused in (True, False):
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        outputs = (ad.readout(leaves[0], common, uncommon, *leaves[1:], graph_index) if fused
+                   else _composed_readout(leaves[0], common, uncommon, *leaves[1:], offsets))
+        grads = tape.backward(_project(tape, outputs, projections))
+        results.append(([o.value for o in outputs], [grads[leaf.id] for leaf in leaves]))
+        if fused:
+            assert len(tape._entries) == 1 + 3 * len(READOUT_NAMES) - 1  # the readout, then the projection
+            _assert_no_shared_memory(grads)
+    (values, grads), (want_values, want_grads) = results
+    for name, value, want in zip(READOUT_NAMES, values, want_values):
+        width = 1 if name == "y_hat" else 3
+        assert value.shape == ((width,) if offsets is None else (rows, width)), name
+        assert np.array_equal(value, want), name
+    for k, (grad, want) in enumerate(zip(grads, want_grads)):
+        assert np.allclose(grad, want, rtol=1e-12, atol=1e-15), k
+    if offsets is not None:
+        assert np.array_equal(values[1][1], np.zeros(3))  # the all-false mask reads out zeros
+
+
+def test_readout_gradient_from_one_output_only():
+    rng = np.random.default_rng(12)
+    n, offsets, common, uncommon = READOUT_GRAPHS["one-graph"]
+    graph_index = ad.GraphIndex(np.zeros((0, 2)), n)
+    arrays = [rng.standard_normal(s) for s in _readout_shapes(n)]
+    projections = {name: rng.standard_normal((1, 1 if name == "y_hat" else 3)) for name in READOUT_NAMES}
+    for name in READOUT_NAMES:
+        results = []
+        for fused in (True, False):
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            outputs = (ad.readout(leaves[0], common, uncommon, *leaves[1:], graph_index) if fused
+                       else _composed_readout(leaves[0], common, uncommon, *leaves[1:], offsets))
+            grads = tape.backward(_project(tape, outputs, projections, names=(name,)))
+            results.append({k: grads.get(leaf.id) for k, leaf in enumerate(leaves)})
+        fused_grads, composed_grads = results
+        # inputs the output does not depend on get no gradient, as with the primitive ops
+        assert {k for k, g in fused_grads.items() if g is not None} == \
+            {k for k, g in composed_grads.items() if g is not None}, name
+        for k, grad in fused_grads.items():
+            if grad is not None:
+                assert np.allclose(grad, composed_grads[k], rtol=1e-12, atol=1e-15), (name, k)
+    with pytest.raises(ValueError, match="mask"):
+        tape = Tape()
+        ad.readout(*(tape.leaf(a) for a in arrays[:1]), common[:2], uncommon,
+                   *(tape.leaf(a) for a in arrays[1:]), graph_index)

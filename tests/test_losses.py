@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from cliffkit import autodiff as ad
 from cliffkit.autodiff import Tape
 from cliffkit.losses import (
     LossConfig,
@@ -97,6 +98,63 @@ def test_packed_pair_loss_matches_two_traces(variant):
         assert np.allclose(one_grads[name], grad, rtol=1e-12, atol=1e-12), name
     with pytest.raises(ValueError, match="2 graphs"):
         pair_loss(ti, None, 1.0, 2.5, config)
+
+
+def _unfused_pair_loss(parts, config):
+    """The pair loss from primitive ops, one entry per sub, mul, sum_all, add and scale."""
+    def squared(t, y):
+        d = ad.sub(t, t.tape.constant(np.reshape(y, t.value.shape)))
+        return ad.sum_all(ad.mul(d, d))
+
+    def summed(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    def scalarized(trace, head, y):
+        b = trace.binding
+        return squared(ad.add(ad.matmul(getattr(trace, f"a_{head}"), b[f"scalarize_{head}.weight"]),
+                              b[f"scalarize_{head}.bias"]), y)
+
+    mse = summed([squared(trace.y_hat, y) for trace, y in parts])
+    node = summed([scalarized(trace, "ucn", y) for trace, y in parts])
+    if config.variant != "ucn":
+        node = ad.add(node, summed([scalarized(trace, "cn", y) for trace, y in parts]))
+    return ad.add(mse, ad.scale(node, config.node_loss_weight))
+
+
+@pytest.mark.parametrize("variant", ["ucn", "n", "n-sgl"])
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "two-traces"])
+def test_fused_pair_loss_matches_unfused_composition(variant, packed):
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=4)
+    config = LossConfig(variant=variant, node_loss_weight=0.3)
+    masks = (np.array([1, 0, 1], bool), np.array([0, 1, 0], bool),
+             np.array([1, 1, 0], bool), np.array([0, 0, 1], bool))
+    results = []
+    for fused in (True, False):
+        if packed:
+            trace = forward(model, (parse_smiles("CCO"), parse_smiles("CCN")),
+                            masks[0::2], masks[1::2], train=True)
+            traces, parts = (trace, None), [(trace, (1.0, 2.5))]
+        else:
+            traces = make_traces(model, "CCO", "CCN", masks)
+            parts = [(traces[0], (1.0,)), (traces[1], (2.5,))]
+        tape = traces[0].tape
+        before = len(tape._entries)
+        loss = pair_loss(*traces, 1.0, 2.5, config) if fused else _unfused_pair_loss(parts, config)
+        if fused:  # one linear entry per scalarize map and trace, then one for all squared errors
+            heads = 1 if variant == "ucn" else 2
+            assert len(tape._entries) - before == heads * len(parts) + 1
+        grads = tape.backward(loss)
+        results.append((float(loss.value), traces[0].binding.gradient_by_name(grads),
+                        [grads[t.y_hat.id] for t in traces if t is not None]))
+    (value, grads, y_grads), (want, want_grads, want_y_grads) = results
+    assert abs(value - want) <= 1e-12 * abs(want)
+    for name, grad in want_grads.items():
+        assert np.allclose(grads[name], grad, rtol=1e-12, atol=1e-15), name
+    for got, expected in zip(y_grads, want_y_grads):
+        assert np.array_equal(got, expected)  # 2 * weight * residual, as the primitives give it
 
 
 def test_pair_loss_composition():

@@ -176,11 +176,11 @@ def test_single_atom_graph_runs():
     assert trace.h.value.shape == (1, 8)
 
 
-def test_one_forward_records_at_most_16_tape_entries():
-    # node embedding 2, one per message layer, readouts 2, heads 4, concat 1, combine 2, out 2
+def test_one_forward_records_at_most_5_tape_entries():
+    # node embedding 1, one per message layer, the readout stack 1
     model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
     trace = forward(model, parse_smiles("CC(=O)Oc1ccccc1"), train=True)
-    assert len(trace.tape._entries) <= 16
+    assert len(trace.tape._entries) <= 5
 
 
 # an aromatic ester with a half-common mask, and the bond-free "C" with an
@@ -246,6 +246,46 @@ def test_packed_forward_equals_single_forwards(train):
         assert _close(by_name[name], grad), name
 
 
+# the parameters of the readout stack, and one feeding the atom states it reads
+_PROBED = ("head_cn.weight", "head_cn.bias", "head_ucn.weight", "head_ucn.bias", "combine.weight",
+           "combine.bias", "out.weight", "out.bias", "conv2.bn.shift")
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("graphs", ["one-graph", "bond-free", "packed"])
+def test_forward_gradients_match_central_differences(train, graphs):
+    rng = np.random.default_rng(13)
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=6)
+    for layer in range(model.config.message_layers):  # off ReLU's kink for the one-atom graph
+        model.params[f"conv{layer}.bn.shift"].value = rng.normal(size=4)
+    commit_bn_stats(model, forward(model, PACKED_GRAPHS[0], train=True))
+    picked = {"one-graph": [0], "bond-free": [1], "packed": [0, 1]}[graphs]
+    graph = [PACKED_GRAPHS[k] for k in picked]
+    masks = [PACKED_COMMON[k] for k in picked], [PACKED_UNCOMMON[k] for k in picked]
+    if len(picked) == 1:
+        graph, masks = graph[0], (masks[0][0], masks[1][0])
+    trace = forward(model, graph, *masks, train=train)
+    weights = {name: rng.normal(size=getattr(trace, name).value.shape)
+               for name in ("y_hat", "r_cn", "r_ucn", "a_cn", "a_ucn")}
+    grads = trace.binding.gradient_by_name(trace.tape.backward(_weighted_sum(trace, weights)))
+
+    def value(probe):
+        out = forward(probe, graph, *masks, train=train)
+        return sum(float((getattr(out, name).value * w).sum()) for name, w in weights.items())
+
+    step = 1e-6
+    for name in _PROBED:
+        flat = model.params[name].value.ravel()
+        for idx in range(flat.size):
+            probe = model.copy()
+            probe.params[name].value.ravel()[idx] = flat[idx] + step
+            up = value(probe)
+            probe.params[name].value.ravel()[idx] = flat[idx] - step
+            numeric = (up - value(probe)) / (2 * step)
+            analytic = grads[name].ravel()[idx]
+            assert abs(numeric - analytic) <= 1e-5 * max(abs(numeric), abs(analytic), 1.0), (name, idx)
+
+
 def test_committing_a_packed_trace_folds_the_graphs_in_order():
     model = init_parameters(ModelConfig(hidden_dim=6), seed=5)
     packed = forward(model, PACKED_GRAPHS, PACKED_COMMON, PACKED_UNCOMMON, train=True)
@@ -275,14 +315,14 @@ def test_one_graph_trace_keeps_vector_shapes():
         forward(model, PACKED_GRAPHS, PACKED_COMMON[::-1], train=True)
 
 
-def test_pair_update_records_at_most_32_tape_entries():
-    # one packed forward (16) and the pair loss over both compounds (16)
+def test_pair_update_records_at_most_8_tape_entries():
+    # one packed forward (5), the two scalarize maps (2) and the squared errors (1)
     model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
     ri, rj = (CompoundRecord(cid, "T", smi, parse_smiles(smi), y)
               for cid, smi, y in (("a", "CC(=O)Oc1ccccc1", 6.0), ("b", "CC(=O)Nc1ccccc1", 7.5)))
     pair = build_pair(ri, rj, max_common_substructure(ri.graph, rj.graph))
     _, _, trace = _pair_update(model, pair, LossConfig(variant="n-sgl"))
-    assert len(trace.tape._entries) <= 32
+    assert len(trace.tape._entries) <= 8
 
 
 def test_tape_is_freed_by_reference_counting():
