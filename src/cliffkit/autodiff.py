@@ -22,12 +22,13 @@ statistics are recomputed on every call); updating running statistics
 is a separate explicit step, which keeps finite-difference probing of
 the forward pass honest.
 
-The message layer and the readouts also take several graphs packed as
-a disjoint union (``offsets`` marks where each graph's rows begin). They
-then normalize, and read out, each graph over its own rows, with the
-gradient flowing through each graph's own statistics. A
-:class:`GraphIndex` holds a forward's index arrays, built once and read
-by every layer and its backward.
+The message layer and the readout stack take graphs packed as a
+disjoint union (``offsets`` marks where each graph's rows begin); one
+graph is a pack of one. They normalize, and read out, each graph over
+its own rows, with the gradient flowing through each graph's own
+statistics, and give one row per graph. A :class:`GraphIndex` holds a
+forward's index arrays, built once and read by every layer and its
+backward.
 """
 
 from __future__ import annotations
@@ -235,16 +236,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    """Gradients of ``x @ w + b`` w.r.t. x, w and b, computed as :func:`matmul` and :func:`add` do."""
-    if x.ndim == 1:
-        return w @ g, x[:, None] * g, g  # x[:, None] * g is np.outer(x, g)
+    """Gradients of ``x @ w + b`` for rows ``x``, computed as :func:`matmul` and :func:`add` do."""
     return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` as one entry; ``x`` is a vector or one row per item."""
+    """``x @ weight + bias`` as one entry; ``x`` holds one row per item."""
     xv, wv, bv = x.value, weight.value, bias.value
-    if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+    if wv.ndim != 2 or xv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
         raise ValueError(f"linear shape mismatch: {xv.shape} @ {wv.shape} + {bv.shape}")
 
     def backward(g):
@@ -397,24 +396,23 @@ def _normalize_backward(g, gamma, x_hat, inv, batch_stats: bool, segments=None):
 
 
 class GraphIndex:
-    """Index arrays of one graph, or of several packed as a disjoint union, for one forward.
+    """Index arrays of graphs packed as a disjoint union, for one forward.
 
     Row ``(v, w)`` of ``edge_index`` is the edge along which atom ``v``
-    receives from ``w``; ``offsets`` (see :func:`message_layer`) marks
-    where each packed graph's atoms begin, None for one graph. Built once
-    per forward, it holds what every message layer and its backward read:
-    the receiver and neighbour arrays, the inverse in-degrees, the graphs'
+    receives from ``w``; ``offsets`` holds each graph's first atom and
+    then the atom count, None for a pack of one. Built once per forward,
+    it holds what every message layer and its backward read: the
+    receiver and neighbour arrays, the inverse in-degrees, the graphs'
     row ranges and, once first used, the scatter indices.
     """
 
-    __slots__ = ("num_atoms", "num_edges", "packed", "receiver", "neighbor", "inv_count",
-                 "segments", "_scatter_index")
+    __slots__ = ("num_atoms", "num_edges", "receiver", "neighbor", "inv_count", "segments",
+                 "_scatter_index")
 
     def __init__(self, edge_index, num_atoms: int, offsets=None):
         edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
         self.num_atoms = num_atoms
         self.num_edges = len(edge_index)
-        self.packed = offsets is not None
         self.receiver = np.ascontiguousarray(edge_index[:, 0])
         self.neighbor = np.ascontiguousarray(edge_index[:, 1])
         # column of 1 / in-degree; atoms without bonds divide by 1
@@ -470,16 +468,16 @@ def message_layer(
     otherwise, scaled by ``gamma``, shifted by ``beta`` and passed
     through ReLU.
 
-    The rows may be several graphs packed as a disjoint union: atoms
-    stacked graph after graph, edges in the stacked numbering, and
-    ``offsets`` holding each graph's first atom followed by the atom
-    count. Messages never cross graphs, since no edge does; batch
-    statistics are then taken per graph, so each graph is normalized as
-    if it ran alone. Running statistics apply to every row alike.
+    The rows are graphs packed as a disjoint union (one graph is a pack
+    of one): atoms stacked graph after graph, edges in the stacked
+    numbering, and ``graph.segments`` holding each graph's rows. Messages
+    never cross graphs, since no edge does; batch statistics are taken
+    per graph, so each graph is normalized as if it ran alone. Running
+    statistics apply to every row alike.
 
     Returns the output and the mean and variance it normalized with:
-    shape ``(H,)``, or ``(G, H)`` with one row per graph when batch
-    statistics are taken over packed graphs.
+    batch statistics have shape ``(G, H)``, one row per graph; running
+    ones are returned as given.
     """
     hv, ev = h.value, e.value
     n, hdim = hv.shape
@@ -507,8 +505,6 @@ def message_layer(
     pre = hv @ root_wv + root_bias.value
     pre += graph.sum_to_receivers(messages) * inv_count
     normed, x_hat, inv, mean, var = _normalize(pre, gamma_v, beta.value, running, eps, segments)
-    if running is None and not graph.packed:
-        mean, var = mean[0], var[0]
     active = normed > 0.0
     batch_stats = running is None
 
@@ -560,9 +556,9 @@ def readout(
     :func:`masked_mean` takes them. The heads map them to
     ``a_cn = r_cn @ W_cn + b_cn`` and ``a_ucn = r_ucn @ W_ucn + b_ucn``;
     the combine layer maps ``[a_cn, a_ucn]`` and the output layer maps
-    the result to ``y_hat``. Returns ``(r_cn, r_ucn, a_cn, a_ucn, y_hat)``:
-    vectors ``(H,)`` and ``(1,)`` for one graph, one row per graph for
-    packed ones (``graph.packed``). The backward takes a gradient for any
+    the result to ``y_hat``. Returns ``(r_cn, r_ucn, a_cn, a_ucn, y_hat)``
+    with one row per graph: ``(G, H)`` and ``(G, 1)``, so ``(1, H)`` and
+    ``(1, 1)`` for one graph. The backward takes a gradient for any
     subset of the outputs and computes what :func:`masked_mean`,
     :func:`matmul`, :func:`add` and :func:`concat` would.
     """
@@ -578,12 +574,10 @@ def readout(
         r_ucn, n_ucn = r_cn.copy(), n_cn
     else:
         r_ucn, n_ucn = _masked_means(hv, uncommon, segments)
-    if not graph.packed:
-        r_cn, r_ucn = r_cn[0], r_ucn[0]
     w_cn, w_ucn, w_c, w_o = (t.value for t in (head_cn_weight, head_ucn_weight, combine_weight, out_weight))
     a_cn = r_cn @ w_cn + head_cn_bias.value
     a_ucn = r_ucn @ w_ucn + head_ucn_bias.value
-    both = np.concatenate([a_cn, a_ucn], axis=-1)
+    both = np.concatenate([a_cn, a_ucn], axis=1)
     combined = both @ w_c + combine_bias.value
     y_hat = combined @ w_o + out_bias.value
 
@@ -593,8 +587,8 @@ def readout(
         if g_y is not None:
             g_combined, g_wo, g_bo = _affine_grads(combined, w_o, g_y)
             g_both, g_wc, g_bc = _affine_grads(both, w_c, g_combined)
-            g_acn = _plus(g_acn, g_both[..., :hdim])
-            g_aucn = _plus(g_aucn, g_both[..., hdim:])
+            g_acn = _plus(g_acn, g_both[:, :hdim])
+            g_aucn = _plus(g_aucn, g_both[:, hdim:])
         g_wcn = g_bcn = g_wucn = g_bucn = g_h = None
         if g_acn is not None:
             g_r, g_wcn, g_bcn = _affine_grads(r_cn, w_cn, g_acn)

@@ -37,12 +37,13 @@ from .evaluation import (
 )
 from .losses import LossConfig, VARIANTS
 from .model import CompatibilityError, ModelConfig, init_parameters
-from .molgraph import ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH
 from .pairs import (
     PairGenConfig,
     SyntheticConfig,
+    canonical_json,
     generate_cliff_pairs,
     generate_synthetic_dataset,
+    jsonl_records,
     read_compounds_csv,
     read_pairs_jsonl,
     split_pairs,
@@ -63,10 +64,6 @@ MANIFEST_SCHEMA = "run-manifest/1"
 ATTRIBUTION_SCHEMA = "attribution/1"
 EVAL_REPORT_SCHEMA = "eval-report/1"
 TRAIN_REPORT_SCHEMA = "train-report/1"
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def file_sha256(path: str) -> str:
@@ -103,7 +100,7 @@ class Manifest:
             "config": self.config,
             "inputs": {label: entry["sha256"] for label, entry in sorted(self.inputs.items())},
         }
-        return hashlib.sha256(_canonical_json(core).encode()).hexdigest()
+        return hashlib.sha256(canonical_json(core).encode()).hexdigest()
 
     def write(self, path: str) -> None:
         body = {
@@ -159,7 +156,7 @@ def cmd_synth(args) -> int:
             for cid, p in sorted(dataset.planted.items())
         }
         with open(args.planted_out, "w") as fh:
-            fh.write(_canonical_json({"manifest_hash": manifest.hash, "planted": planted}))
+            fh.write(canonical_json({"manifest_hash": manifest.hash, "planted": planted}))
             fh.write("\n")
         manifest.add_output("planted", args.planted_out)
     manifest.write(args.out + ".manifest.json")
@@ -276,14 +273,14 @@ def _metric_report(model, pairs) -> MetricReport:
 def _write_attribution_jsonl(path, manifest_hash, entries) -> None:
     with open(path, "w") as fh:
         fh.write(
-            _canonical_json(
+            canonical_json(
                 {"schema": ATTRIBUTION_SCHEMA, "kind": "header", "manifest_hash": manifest_hash}
             )
         )
         fh.write("\n")
         for compound_id, method, values, model_ref in entries:
             fh.write(
-                _canonical_json(
+                canonical_json(
                     {
                         "schema": ATTRIBUTION_SCHEMA,
                         "compound_id": compound_id,
@@ -300,6 +297,8 @@ def cmd_eval(args) -> int:
     checkpoints = args.checkpoint
     if not 1 <= len(checkpoints) <= 2:
         raise ValueError("eval takes one checkpoint, or two for the paired sweep")
+    if args.csv and len(checkpoints) != 2:
+        raise ValueError("--csv requires two checkpoints (it reports the paired sweep)")
     thresholds = (
         tuple(_parse_float_list(args.thresholds)) if args.thresholds else DEFAULT_THRESHOLDS
     )
@@ -319,16 +318,7 @@ def cmd_eval(args) -> int:
         manifest.add_input(f"checkpoint_{idx}", ckpt)
 
     pairs, _ = read_pairs_jsonl(args.pairs)
-    models = []
-    for ckpt in checkpoints:
-        model, loss_config, header = load_checkpoint(ckpt)
-        width = ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH
-        have = model.config.atom_feature_width, model.config.bond_feature_width
-        if have != width:
-            raise CompatibilityError(
-                f"checkpoint {ckpt} expects feature widths {have}, this build produces {width}"
-            )
-        models.append((model, loss_config, header))
+    models = [load_checkpoint(ckpt) for ckpt in checkpoints]
 
     if args.split == "test":
         extras = [h.get("extras") for _, _, h in models]
@@ -381,8 +371,6 @@ def cmd_eval(args) -> int:
     manifest.add_output("report", args.out)
 
     if args.csv:
-        if len(models) != 2:
-            raise ValueError("--csv requires two checkpoints (it reports the paired sweep)")
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["threshold", "method", "model", "mean_g_dir", "n_pairs"])
@@ -438,39 +426,28 @@ def cmd_render(args) -> int:
     pair = matching[0]
 
     records: dict[tuple[str, str], dict] = {}
-    with open(args.attributions) as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{args.attributions}:{line_num}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: expected a JSON object")
-            if record.get("kind") == "header":
-                continue
-            if record.get("schema") != ATTRIBUTION_SCHEMA:
-                raise ValueError(f"{where}: unsupported schema")
-            for name in ("compound_id", "method", "checkpoint_hash"):
-                if not isinstance(record.get(name), str):
-                    raise ValueError(f"{where}: field {name!r} is missing or not a string")
-            try:
-                record["node_values"] = np.asarray(record["node_values"], dtype=np.float64)
-            except KeyError:
-                raise ValueError(f"{where}: missing field 'node_values'") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: node_values: {exc}") from None
-            if args.model_ref and not record["checkpoint_hash"].startswith(args.model_ref):
-                continue
-            key = (record["compound_id"], record["method"])
-            if key in records and records[key]["checkpoint_hash"] != record["checkpoint_hash"]:
-                raise ValueError(
-                    f"multiple models provide {key[1]} for {key[0]}; narrow with --model-ref"
-                )
-            records[key] = record
+    for where, record in jsonl_records(args.attributions):
+        if record.get("kind") == "header":
+            continue
+        if record.get("schema") != ATTRIBUTION_SCHEMA:
+            raise ValueError(f"{where}: unsupported schema")
+        for name in ("compound_id", "method", "checkpoint_hash"):
+            if not isinstance(record.get(name), str):
+                raise ValueError(f"{where}: field {name!r} is missing or not a string")
+        try:
+            record["node_values"] = np.asarray(record["node_values"], dtype=np.float64)
+        except KeyError:
+            raise ValueError(f"{where}: missing field 'node_values'") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: node_values: {exc}") from None
+        if args.model_ref and not record["checkpoint_hash"].startswith(args.model_ref):
+            continue
+        key = (record["compound_id"], record["method"])
+        if key in records and records[key]["checkpoint_hash"] != record["checkpoint_hash"]:
+            raise ValueError(
+                f"multiple models provide {key[1]} for {key[0]}; narrow with --model-ref"
+            )
+        records[key] = record
 
     written = []
     for compound_id, graph in (

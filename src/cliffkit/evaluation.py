@@ -23,7 +23,6 @@ import numpy as np
 
 from .attribution import AttributionConfig, DEFAULT_CONFIG, attribute_all
 from .model import MpnnModel
-from .molgraph import bond_features
 from .pairs import CliffPair, filter_by_threshold
 
 DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -302,8 +301,7 @@ def collect_node_values(
             if compound_id in values:
                 continue
             maps = attribute_all(model, graph, methods, config)
-            _, edges = bond_features(graph)
-            values[compound_id] = {m: maps[m].node_level(edges) for m in methods}
+            values[compound_id] = {m: maps[m].node_level(graph.features[2]) for m in methods}
     return values
 
 

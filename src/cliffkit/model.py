@@ -24,13 +24,14 @@ per forward, as an ``ad.GraphIndex`` that every layer reads.
 Masks are per-pair inputs. Standalone prediction uses all-true masks,
 so a single compound is scored without reference to any partner.
 
-One forward takes one graph or several packed as a disjoint union
-(atoms stacked graph after graph, with each graph's first atom in
-``offsets``, as PyTorch Geometric's ``Batch`` packs graphs). No edge
-crosses graphs; train-mode normalization and both readouts are taken
-per graph, so a packed graph gets the result it would get alone, up to
-float summation order. Eval mode applies the running statistics to
-every atom alike. Training packs the two compounds of a pair.
+One forward takes graphs packed as a disjoint union (atoms stacked
+graph after graph, with each graph's first atom in ``offsets``, as
+PyTorch Geometric's ``Batch`` packs graphs); one graph is a pack of
+one, so every trace has one row per graph. No edge crosses graphs;
+train-mode normalization and both readouts are taken per graph, so a
+packed graph gets the result it would get alone, up to float summation
+order. Eval mode applies the running statistics to every atom alike.
+Training packs the two compounds of a pair.
 """
 
 from __future__ import annotations
@@ -67,14 +68,22 @@ class UninitializedStatsError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model size; the feature widths are this build's and cannot be set."""
+
     hidden_dim: int = 64
     message_layers: int = 3
-    atom_feature_width: int = ATOM_FEATURE_WIDTH
-    bond_feature_width: int = BOND_FEATURE_WIDTH
 
     def __post_init__(self):
         if self.hidden_dim < 1 or self.message_layers < 1:
             raise ValueError("hidden_dim and message_layers must be positive")
+
+    @property
+    def atom_feature_width(self) -> int:
+        return ATOM_FEATURE_WIDTH
+
+    @property
+    def bond_feature_width(self) -> int:
+        return BOND_FEATURE_WIDTH
 
     def to_dict(self) -> dict:
         return {
@@ -86,6 +95,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of :meth:`to_dict`; refuses feature widths other than this build's."""
+        d = dict(d)
+        have = d.pop("atom_feature_width"), d.pop("bond_feature_width")
+        width = ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH
+        if have != width:
+            raise CompatibilityError(f"config expects feature widths {have}, this build produces {width}")
         return cls(**d)
 
 
@@ -215,10 +230,11 @@ class ModelBinding:
 class ForwardTrace:
     """Everything one forward pass produced, still attached to its tape.
 
-    A one-graph trace holds vectors: readouts and head outputs of shape
-    ``(H,)``, ``y_hat`` of shape ``(1,)`` and, per layer, batch statistics
-    of shape ``(H,)``. A trace of G packed graphs (``offsets`` set) holds
-    one row per graph in each: ``(G, H)``, ``(G, 1)`` and ``(G, H)``.
+    A trace of G packed graphs (``offsets`` holds each graph's first atom
+    and then the atom count) has one row per graph: readouts and head
+    outputs of shape ``(G, H)``, ``y_hat`` of shape ``(G, 1)`` and, per
+    layer, train-mode batch statistics of shape ``(G, H)``. One graph is
+    a pack of one: ``offsets`` is ``[0, n]`` and every row count is 1.
     """
 
     tape: Tape
@@ -234,11 +250,11 @@ class ForwardTrace:
     y_hat: Tensor
     bn_batch: list[tuple[np.ndarray, np.ndarray]]
     train: bool
-    offsets: np.ndarray | None = None
+    offsets: np.ndarray
 
     @property
     def num_graphs(self) -> int:
-        return 1 if self.offsets is None else len(self.offsets) - 1
+        return len(self.offsets) - 1
 
     @property
     def predictions(self) -> np.ndarray:
@@ -249,7 +265,7 @@ class ForwardTrace:
     def prediction(self) -> float:
         if self.num_graphs != 1:
             raise ValueError(f"trace holds {self.num_graphs} graphs; read predictions")
-        return float(self.y_hat.value.reshape(-1)[0])
+        return float(self.y_hat.value[0, 0])
 
 
 def _check_masks(n: int, common_mask, uncommon_mask) -> tuple[np.ndarray, np.ndarray]:
@@ -275,12 +291,12 @@ def forward_from_arrays(
 ) -> ForwardTrace:
     """Forward pass from raw feature arrays (the graph-level entry wraps this).
 
-    The arrays describe one graph, or, with ``offsets``, several graphs
-    packed as a disjoint union: atom rows stacked graph after graph,
-    edge rows likewise with ``edge_index`` in the stacked numbering, and
-    ``offsets`` holding each graph's first atom followed by the total
-    atom count. A packed forward gives every graph the result it would
-    get alone, up to float summation order.
+    The arrays describe graphs packed as a disjoint union: atom rows
+    stacked graph after graph, edge rows likewise with ``edge_index`` in
+    the stacked numbering, and ``offsets`` holding each graph's first
+    atom followed by the total atom count; ``offsets`` None means one
+    graph, ``[0, n]``. A packed forward gives every graph the result it
+    would get alone, up to float summation order.
 
     Pass an existing tape/binding pair to put several forwards, and a
     loss over them, on one tape. Train mode normalizes each graph with
@@ -309,6 +325,8 @@ def forward_from_arrays(
     x = tape.leaf(np.asarray(x_array, dtype=np.float64))
     e = tape.leaf(np.asarray(e_array, dtype=np.float64))
     edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    if offsets is None:
+        offsets = np.array([0, n])
     graph = ad.GraphIndex(edge_index, n, offsets)
 
     h = binding.linear("node_embed", x)
@@ -353,34 +371,33 @@ def forward(
     tape: Tape | None = None,
     binding: ModelBinding | None = None,
 ) -> ForwardTrace:
-    """Run the network on one graph, or on a sequence of graphs in one packed forward.
+    """Run the network on a sequence of graphs in one packed forward, or on one graph.
 
     Masks default to all-true. For a sequence of graphs each mask
-    argument is a sequence with one mask (or None) per graph, and the
-    trace holds one prediction and one pair of readouts per graph.
-    Features are read from each graph's cache.
+    argument is a sequence with one mask (or None) per graph; one graph
+    takes its masks as they are and runs as a pack of one. The trace
+    holds one prediction and one pair of readouts per graph. Features
+    are read from each graph's cache.
     """
     if isinstance(graph, MolecularGraph):
-        graphs, masks, offsets = [graph], [(common_mask, uncommon_mask)], None
-    else:
-        graphs = list(graph)
-        n = len(graphs)
-        common = [None] * n if common_mask is None else list(common_mask)
-        uncommon = [None] * n if uncommon_mask is None else list(uncommon_mask)
-        if not graphs or len(common) != n or len(uncommon) != n:
-            raise ValueError(f"{n} graphs need one common and one uncommon mask each")
-        masks = list(zip(common, uncommon))
-        offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
+        graph, common_mask, uncommon_mask = [graph], [common_mask], [uncommon_mask]
+    graphs = list(graph)
+    n = len(graphs)
+    common = [None] * n if common_mask is None else list(common_mask)
+    uncommon = [None] * n if uncommon_mask is None else list(uncommon_mask)
+    if not graphs or len(common) != n or len(uncommon) != n:
+        raise ValueError(f"{n} graphs need one common and one uncommon mask each")
+    offsets = np.cumsum([0] + [g.num_atoms for g in graphs])
     checked = [
         _check_masks(g.num_atoms, *(np.ones(g.num_atoms, dtype=bool) if m is None else m for m in pair))
-        for g, pair in zip(graphs, masks)
+        for g, *pair in zip(graphs, common, uncommon)
     ]
     features = [g.features for g in graphs]
     return forward_from_arrays(
         model,
         np.concatenate([x for x, _, _ in features]),
         np.concatenate([e for _, e, _ in features]),
-        np.concatenate([index + start for (_, _, index), start in zip(features, [0] if offsets is None else offsets)]),
+        np.concatenate([index + start for (_, _, index), start in zip(features, offsets)]),
         np.concatenate([common for common, _ in checked]),
         np.concatenate([uncommon for _, uncommon in checked]),
         train=train, tape=tape, binding=binding, offsets=offsets,
@@ -390,14 +407,14 @@ def forward(
 def commit_bn_stats(model: MpnnModel, trace: ForwardTrace) -> None:
     """Fold a train-mode forward's batch statistics into the running estimates.
 
-    A packed trace's graphs are folded in packing order, each as one
-    update, exactly as committing their one-graph traces in turn would.
+    The trace's graphs are folded in packing order, each as one update,
+    exactly as committing their one-graph traces in turn would.
     """
     if not trace.train:
         raise ValueError("only train-mode traces carry batch statistics")
     for layer, (means, variances) in enumerate(trace.bn_batch):
         state = model.bn_state[layer]
-        for mean, var in zip(np.atleast_2d(means), np.atleast_2d(variances)):
+        for mean, var in zip(means, variances):
             state.mean = (1.0 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean
             state.var = (1.0 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
             state.updates += 1

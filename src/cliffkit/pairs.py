@@ -611,8 +611,30 @@ def write_compounds_csv(path: str, compounds) -> None:
             writer.writerow([rec.compound_id, rec.target_id, rec.smiles, repr(ic50_nm)])
 
 
-def _json_line(obj: dict) -> str:
+def canonical_json(obj) -> str:
+    """Compact JSON with sorted keys: one line, the same bytes on every run."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl_records(path: str):
+    """Yield ``(where, record)`` for each non-blank line of a JSON Lines file.
+
+    ``where`` is ``path:line``; a line that is not a JSON object raises
+    ValueError naming it. Header lines are yielded like any other.
+    """
+    with open(path) as fh:
+        for line_num, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{line_num}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            yield where, record
 
 
 def pair_to_record(pair: CliffPair) -> dict:
@@ -665,10 +687,10 @@ def pair_from_record(record: dict) -> CliffPair:
 def write_pairs_jsonl(path: str, pairs, manifest_hash: str = "") -> None:
     """Header line with the manifest hash, then one record per pair."""
     with open(path, "w") as fh:
-        fh.write(_json_line({"schema": PAIR_SCHEMA, "kind": "header", "manifest_hash": manifest_hash}))
+        fh.write(canonical_json({"schema": PAIR_SCHEMA, "kind": "header", "manifest_hash": manifest_hash}))
         fh.write("\n")
         for pair in pairs:
-            fh.write(_json_line(pair_to_record(pair)))
+            fh.write(canonical_json(pair_to_record(pair)))
             fh.write("\n")
 
 
@@ -676,26 +698,16 @@ def read_pairs_jsonl(path: str):
     """Returns ``(pairs, header)``; validates schema tags on every line."""
     pairs: list[CliffPair] = []
     header: dict = {}
-    with open(path) as fh:
-        for line_num, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_num}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{line_num}: expected a JSON object")
-            if record.get("kind") == "header":
-                if record.get("schema") != PAIR_SCHEMA:
-                    raise ValueError(f"{path}:{line_num}: unsupported schema {record.get('schema')!r}")
-                header = record
-                continue
-            try:
-                pairs.append(pair_from_record(record))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_num}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_num}: {exc}") from None
+    for where, record in jsonl_records(path):
+        if record.get("kind") == "header":
+            if record.get("schema") != PAIR_SCHEMA:
+                raise ValueError(f"{where}: unsupported schema {record.get('schema')!r}")
+            header = record
+            continue
+        try:
+            pairs.append(pair_from_record(record))
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return pairs, header

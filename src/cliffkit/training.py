@@ -32,6 +32,7 @@ from .evaluation import rmse
 from .losses import LossConfig, apply_prox, pair_loss
 from .model import (
     BnRunningState,
+    CompatibilityError,
     ForwardTrace,
     ModelConfig,
     MpnnModel,
@@ -404,6 +405,8 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[MpnnModel, LossConfig, dict]:
             )
             for e in header["bn"]
         ]
+    except CompatibilityError:  # a well-formed checkpoint of another build
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
     model = MpnnModel(config, params, bn_state)

@@ -38,8 +38,6 @@ from cliffkit.model import (
     init_parameters,
 )
 from cliffkit.molgraph import (
-    ATOM_FEATURE_WIDTH,
-    BOND_FEATURE_WIDTH,
     Atom,
     Bond,
     DOUBLE,
@@ -85,12 +83,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _model_config(hidden: int, layers: int = 3) -> ModelConfig:
-    return ModelConfig(
-        hidden_dim=hidden,
-        message_layers=layers,
-        atom_feature_width=ATOM_FEATURE_WIDTH,
-        bond_feature_width=BOND_FEATURE_WIDTH,
-    )
+    return ModelConfig(hidden_dim=hidden, message_layers=layers)
 
 
 # ---------------------------------------------------------------------------

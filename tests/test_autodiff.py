@@ -294,9 +294,9 @@ def test_backward_gradients_share_no_memory():
     assert not np.shares_memory(grads[x.id], grads[y.id])
     assert not np.shares_memory(grads[x.id], grads[total.id])
     _assert_no_shared_memory(grads)
-    # concatenation slices its gradient; a linear map's vector bias takes the gradient as is
+    # concatenation slices its gradient; a linear map's bias sums it over rows
     tape = Tape()
-    a, b = tape.leaf(np.ones(2)), tape.leaf(np.ones(3))
+    a, b = tape.leaf(np.ones((1, 2))), tape.leaf(np.ones((1, 3)))
     w, bias = tape.leaf(np.ones((5, 2))), tape.leaf(np.zeros(2))
     grads = tape.backward(ad.sum_all(ad.linear(ad.concat(a, b), w, bias)))
     assert len(grads) == 7
@@ -305,28 +305,29 @@ def test_backward_gradients_share_no_memory():
 
 def test_linear_matches_matmul_plus_bias():
     rng = np.random.default_rng(10)
-    for x_shape in ((4,), (3, 4)):
-        check_op(lambda t, xs: ad.sum_all(ad.mul(ad.linear(*xs), ad.linear(*xs))), [x_shape, (4, 2), (2,)], rng)
-        arrays = [rng.standard_normal(s) for s in (x_shape, (4, 2), (2,))]
-        grads = []
-        for fused in (True, False):
-            tape = Tape()
-            x, w, b = (tape.leaf(a) for a in arrays)
-            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
-            grads.append([tape.backward(ad.sum_all(ad.mul(out, out)))[t.id] for t in (x, w, b)])
-            if fused:
-                value = out.value
-        assert np.array_equal(value, arrays[0] @ arrays[1] + arrays[2])
-        assert all(np.array_equal(f, u) for f, u in zip(*grads))
+    shapes = [(3, 4), (4, 2), (2,)]
+    check_op(lambda t, xs: ad.sum_all(ad.mul(ad.linear(*xs), ad.linear(*xs))), shapes, rng)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    grads = []
+    for fused in (True, False):
+        tape = Tape()
+        x, w, b = (tape.leaf(a) for a in arrays)
+        out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+        grads.append([tape.backward(ad.sum_all(ad.mul(out, out)))[t.id] for t in (x, w, b)])
+        if fused:
+            value = out.value
+    assert np.array_equal(value, arrays[0] @ arrays[1] + arrays[2])
+    assert all(np.array_equal(f, u) for f, u in zip(*grads))
     tape = Tape()
-    with pytest.raises(ValueError, match="linear"):
-        ad.linear(tape.leaf(np.ones(3)), tape.leaf(np.ones((4, 2))), tape.leaf(np.ones(2)))
+    for x, w in ((np.ones((1, 3)), np.ones((4, 2))), (np.ones(4), np.ones((4, 2)))):
+        with pytest.raises(ValueError, match="linear"):  # a width mismatch, and a vector x
+            ad.linear(tape.leaf(x), tape.leaf(w), tape.leaf(np.ones(2)))
 
 
 # one graph with a half-common mask; packed: that graph with a one-atom,
 # bond-free graph (like "C") whose uncommon mask is all false
 READOUT_GRAPHS = {
-    "one-graph": (4, None, np.array([True, False, True, True]), np.array([False, True, False, False])),
+    "one-graph": (4, np.array([0, 4]), np.array([True, False, True, True]), np.array([False, True, False, False])),
     "packed": (5, np.array([0, 4, 5]), np.array([True, False, True, True, True]),
                np.array([False, True, False, False, False])),
 }
@@ -362,7 +363,7 @@ def test_readout_values_and_grads(graph):
     n, offsets, common, uncommon = READOUT_GRAPHS[graph]
     graph_index = ad.GraphIndex(np.zeros((0, 2)), n, offsets)
     shapes = _readout_shapes(n)
-    rows = 1 if offsets is None else len(offsets) - 1
+    rows = len(offsets) - 1
     projections = {name: rng.standard_normal((rows, 1 if name == "y_hat" else 3)) for name in READOUT_NAMES}
     arrays = [rng.standard_normal(s) for s in shapes]
 
@@ -387,18 +388,18 @@ def test_readout_values_and_grads(graph):
     (values, grads), (want_values, want_grads) = results
     for name, value, want in zip(READOUT_NAMES, values, want_values):
         width = 1 if name == "y_hat" else 3
-        assert value.shape == ((width,) if offsets is None else (rows, width)), name
+        assert value.shape == (rows, width), name
         assert np.array_equal(value, want), name
     for k, (grad, want) in enumerate(zip(grads, want_grads)):
         assert np.allclose(grad, want, rtol=1e-12, atol=1e-15), k
-    if offsets is not None:
+    if rows == 2:
         assert np.array_equal(values[1][1], np.zeros(3))  # the all-false mask reads out zeros
 
 
 def test_readout_gradient_from_one_output_only():
     rng = np.random.default_rng(12)
     n, offsets, common, uncommon = READOUT_GRAPHS["one-graph"]
-    graph_index = ad.GraphIndex(np.zeros((0, 2)), n)
+    graph_index = ad.GraphIndex(np.zeros((0, 2)), n, offsets)
     arrays = [rng.standard_normal(s) for s in _readout_shapes(n)]
     projections = {name: rng.standard_normal((1, 1 if name == "y_hat" else 3)) for name in READOUT_NAMES}
     for name in READOUT_NAMES:

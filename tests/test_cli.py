@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from cliffkit.cli import file_sha256, main
-from cliffkit.losses import LossConfig
-from cliffkit.model import ModelConfig, init_parameters
 from cliffkit.pairs import read_compounds_csv, read_pairs_jsonl
-from cliffkit.training import load_checkpoint, save_checkpoint
+from cliffkit.training import load_checkpoint
 
 TRAIN_FLAGS = [
     "--hidden-dim", "4",
@@ -339,6 +337,8 @@ def test_csv_with_single_checkpoint_exits_2(workspace, tmp_path):
         "eval", "--pairs", workspace["pairs"], "--checkpoint", workspace["ckpt_n"],
         "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "s.csv"),
     ]) == 2
+    # refused before any work: no report is left behind
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -366,14 +366,16 @@ def test_split_seed_disagreement_exits_4(workspace, tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
-def test_feature_width_mismatch_exits_4(workspace, tmp_path):
-    narrow = init_parameters(ModelConfig(hidden_dim=4, atom_feature_width=12), seed=0)
-    path = str(tmp_path / "narrow.ckpt")
-    save_checkpoint(path, narrow, LossConfig(variant="n"), manifest_hash="0" * 64)
+def test_feature_width_mismatch_exits_4(workspace, tmp_path, capsys):
+    # a checkpoint of a build whose atoms have 12 features
+    blob = open(workspace["ckpt_n"], "rb").read()
+    narrow = tmp_path / "narrow.ckpt"
+    narrow.write_bytes(_with_header(blob, lambda h: {**h, "config": {**h["config"], "atom_feature_width": 12}}))
     assert main([
-        "eval", "--pairs", workspace["pairs"], "--checkpoint", path,
+        "eval", "--pairs", workspace["pairs"], "--checkpoint", str(narrow),
         "--out", str(tmp_path / "r.json"),
     ]) == 4
+    assert "feature widths (12, " in capsys.readouterr().err
 
 
 def test_version_and_missing_subcommand():

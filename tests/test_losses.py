@@ -67,7 +67,7 @@ def test_loss_node_empty_uncommon_fallback():
     all_true = np.ones(n, dtype=bool)
     none = np.zeros(n, dtype=bool)
     ti, tj = make_traces(zero_model(), "CCO", "CCO", masks=(all_true, none, all_true, none))
-    assert np.array_equal(ti.r_ucn.value, np.zeros(4))
+    assert np.array_equal(ti.r_ucn.value, np.zeros((1, 4)))
     got = float(loss_node(ti, tj, 1.0, 2.0, "ucn").value)
     assert got == 5.0  # (0-1)^2 + (0-2)^2 through the zero-readout fallback
 

@@ -300,12 +300,20 @@ def test_committing_a_packed_trace_folds_the_graphs_in_order():
         assert _close(a.mean, b.mean) and _close(a.var, b.var)
 
 
-def test_one_graph_trace_keeps_vector_shapes():
+def test_one_graph_is_a_pack_of_one():
     model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
-    trace = forward(model, PACKED_GRAPHS[0], train=True)
-    assert trace.num_graphs == 1 and trace.offsets is None
-    assert trace.y_hat.value.shape == (1,) and trace.r_cn.value.shape == (4,)
-    assert all(mean.shape == var.shape == (4,) for mean, var in trace.bn_batch)
+    n = PACKED_GRAPHS[0].num_atoms
+    for trace in (forward(model, PACKED_GRAPHS[0], train=True),
+                  forward(model, PACKED_GRAPHS[:1], train=True)):
+        assert trace.num_graphs == 1 and np.array_equal(trace.offsets, [0, n])
+        assert trace.y_hat.value.shape == (1, 1)
+        assert all(getattr(trace, name).value.shape == (1, 4) for name in ("r_cn", "r_ucn", "a_cn", "a_ucn"))
+        assert all(mean.shape == var.shape == (1, 4) for mean, var in trace.bn_batch)
+        assert trace.prediction == trace.predictions[0]
+    x, e, edge_index = PACKED_GRAPHS[0].features
+    mask = np.ones(n, dtype=bool)
+    arrays = forward_from_arrays(model, x, e, edge_index, mask, mask, train=True)
+    assert np.array_equal(arrays.offsets, [0, n]) and arrays.y_hat.value.shape == (1, 1)
     packed = forward(model, PACKED_GRAPHS, train=True)
     with pytest.raises(ValueError, match="2 graphs"):
         packed.prediction
