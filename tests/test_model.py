@@ -19,7 +19,9 @@ from cliffkit.model import (
     init_parameters,
     predict_affinity,
 )
-from cliffkit.molgraph import Bond, MolecularGraph, atom_features, bond_features, parse_smiles
+from cliffkit.molgraph import (
+    ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH, Bond, MolecularGraph, atom_features, bond_features, parse_smiles,
+)
 from cliffkit.pairs import CompoundRecord, build_pair, max_common_substructure
 from cliffkit.training import _pair_update
 
@@ -398,3 +400,9 @@ def test_copy_is_deep():
 def test_config_roundtrip():
     cfg = ModelConfig(hidden_dim=16, message_layers=2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # the feature widths are the build's: recorded, checked on load, never set
+    assert (cfg.to_dict()["atom_feature_width"], cfg.bond_feature_width) == (ATOM_FEATURE_WIDTH, BOND_FEATURE_WIDTH)
+    with pytest.raises(CompatibilityError, match="feature widths"):
+        ModelConfig.from_dict({**cfg.to_dict(), "bond_feature_width": BOND_FEATURE_WIDTH + 1})
+    with pytest.raises(TypeError):
+        ModelConfig(hidden_dim=16, atom_feature_width=12)
