@@ -85,15 +85,7 @@ def _effective_readout_weights(model: MpnnModel) -> np.ndarray:
 
 def _input_gradients(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grads = trace.tape.backward(trace.y_hat)
-    gx = grads.get(trace.x.id)
-    ge = grads.get(trace.e.id)
-    gh = grads.get(trace.h.id)
-    n, w = trace.x.value.shape
-    return (
-        gx if gx is not None else np.zeros((n, w)),
-        ge if ge is not None else np.zeros_like(trace.e.value),
-        gh if gh is not None else np.zeros_like(trace.h.value),
-    )
+    return grads[trace.x.id], grads[trace.e.id], grads[trace.h.id]
 
 
 def _integrated_gradients(

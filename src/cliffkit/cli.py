@@ -48,6 +48,7 @@ from .pairs import (
     read_pairs_jsonl,
     split_pairs,
     write_compounds_csv,
+    write_jsonl,
     write_pairs_jsonl,
 )
 from .render import render_molecule_svg
@@ -55,6 +56,7 @@ from .training import (
     CheckpointError,
     TrainConfig,
     TrainingDivergedError,
+    evaluate_split,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -74,6 +76,13 @@ def file_sha256(path: str) -> str:
     return hasher.hexdigest()
 
 
+def write_json(path: str, body: dict) -> None:
+    """An indented JSON document with sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(body, sort_keys=True, indent=2))
+        fh.write("\n")
+
+
 class Manifest:
     """Run description whose hash covers config and input content, not paths."""
 
@@ -90,32 +99,26 @@ class Manifest:
     def add_output(self, label: str, path: str) -> None:
         self.outputs[label] = str(path)
 
-    @property
-    def hash(self) -> str:
-        core = {
+    def _core(self) -> dict:
+        return {
             "schema": MANIFEST_SCHEMA,
             "subcommand": self.subcommand,
             "tool_version": __version__,
             "seed": self.seed,
             "config": self.config,
-            "inputs": {label: entry["sha256"] for label, entry in sorted(self.inputs.items())},
         }
+
+    @property
+    def hash(self) -> str:
+        inputs = {label: entry["sha256"] for label, entry in self.inputs.items()}
+        core = {**self._core(), "inputs": inputs}
         return hashlib.sha256(canonical_json(core).encode()).hexdigest()
 
     def write(self, path: str) -> None:
-        body = {
-            "schema": MANIFEST_SCHEMA,
-            "subcommand": self.subcommand,
-            "tool_version": __version__,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "manifest_hash": self.hash,
-        }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(body, sort_keys=True, indent=2))
-            fh.write("\n")
+        write_json(
+            path,
+            {**self._core(), "inputs": self.inputs, "outputs": self.outputs, "manifest_hash": self.hash},
+        )
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -233,11 +236,9 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, best, loss_config, manifest_hash=manifest.hash, extras=extras)
     manifest.add_output("checkpoint", args.out)
     report_path = args.report or args.out + ".report.json"
-    with open(report_path, "w") as fh:
-        body = {"schema": TRAIN_REPORT_SCHEMA, "manifest_hash": manifest.hash}
-        body.update(report.to_dict())
-        fh.write(json.dumps(body, sort_keys=True, indent=2))
-        fh.write("\n")
+    write_json(
+        report_path, {"schema": TRAIN_REPORT_SCHEMA, "manifest_hash": manifest.hash, **report.to_dict()}
+    )
     manifest.add_output("report", report_path)
     manifest.write(args.out + ".manifest.json")
     print(
@@ -253,8 +254,6 @@ def cmd_train(args) -> int:
 # eval
 
 def _metric_report(model, pairs) -> MetricReport:
-    from .training import evaluate_split
-
     by_target: dict[str, list] = {}
     for p in pairs:
         by_target.setdefault(p.target_id, []).append(p)
@@ -268,29 +267,6 @@ def _metric_report(model, pairs) -> MetricReport:
             n_pairs=len(bucket),
         )
     return aggregate_metrics(per_target)
-
-
-def _write_attribution_jsonl(path, manifest_hash, entries) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            canonical_json(
-                {"schema": ATTRIBUTION_SCHEMA, "kind": "header", "manifest_hash": manifest_hash}
-            )
-        )
-        fh.write("\n")
-        for compound_id, method, values, model_ref in entries:
-            fh.write(
-                canonical_json(
-                    {
-                        "schema": ATTRIBUTION_SCHEMA,
-                        "compound_id": compound_id,
-                        "method": method,
-                        "node_values": [float(v) for v in values],
-                        "checkpoint_hash": model_ref,
-                    }
-                )
-            )
-            fh.write("\n")
 
 
 def cmd_eval(args) -> int:
@@ -365,9 +341,7 @@ def cmd_eval(args) -> int:
         report_body["sweep"] = sweep.to_dict()
     report_body["manifest_hash"] = manifest.hash
 
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report_body, sort_keys=True, indent=2))
-        fh.write("\n")
+    write_json(args.out, report_body)
     manifest.add_output("report", args.out)
 
     if args.csv:
@@ -389,12 +363,19 @@ def cmd_eval(args) -> int:
         manifest.add_output("sweep_csv", args.csv)
 
     if args.attributions_out:
-        entries = []
-        for digest, values in zip(digests, node_values):
-            for compound_id in sorted(values):
-                for method in methods:
-                    entries.append((compound_id, method, values[compound_id][method], digest))
-        _write_attribution_jsonl(args.attributions_out, manifest.hash, entries)
+        records = (
+            {
+                "schema": ATTRIBUTION_SCHEMA,
+                "compound_id": compound_id,
+                "method": method,
+                "node_values": [float(v) for v in values[compound_id][method]],
+                "checkpoint_hash": digest,
+            }
+            for digest, values in zip(digests, node_values)
+            for compound_id in sorted(values)
+            for method in methods
+        )
+        write_jsonl(args.attributions_out, ATTRIBUTION_SCHEMA, manifest.hash, records)
         manifest.add_output("attributions", args.attributions_out)
 
     manifest.write(args.out + ".manifest.json")
@@ -449,7 +430,8 @@ def cmd_render(args) -> int:
             )
         records[key] = record
 
-    written = []
+    # (compound id, graph, values, title label, file tag); every SVG is built before any is written
+    panels = []
     for compound_id, graph in (
         (pair.compound_i, pair.graph_i),
         (pair.compound_j, pair.graph_j),
@@ -463,28 +445,22 @@ def cmd_render(args) -> int:
                     f"attribution for {cid}/{method} has {values.size} values, "
                     f"molecule has {graph.num_atoms} atoms"
                 )
-            path = f"{args.out}.{_sanitize(cid)}.{method}.svg"
-            svg = render_molecule_svg(
-                graph, values, cid, f"{cid} {method}", manifest_hash=manifest.hash
-            )
-            with open(path, "w") as fh:
-                fh.write(svg)
-            written.append(path)
+            panels.append((cid, graph, values, method, method))
+    if not panels:
+        raise ValueError(f"no attribution records found for pair {args.pair_id!r}")
     truth = ground_truth(pair)
-    for compound_id, graph, values in (
-        (pair.compound_i, pair.graph_i, truth.values_i),
-        (pair.compound_j, pair.graph_j, truth.values_j),
-    ):
-        path = f"{args.out}.{_sanitize(compound_id)}.truth.svg"
-        svg = render_molecule_svg(
-            graph, values, compound_id, f"{compound_id} reference", manifest_hash=manifest.hash
+    panels.append((pair.compound_i, pair.graph_i, truth.values_i, "reference", "truth"))
+    panels.append((pair.compound_j, pair.graph_j, truth.values_j, "reference", "truth"))
+    written = [
+        (
+            f"{args.out}.{_sanitize(cid)}.{tag}.svg",
+            render_molecule_svg(graph, values, cid, f"{cid} {label}", manifest_hash=manifest.hash),
         )
+        for cid, graph, values, label, tag in panels
+    ]
+    for idx, (path, svg) in enumerate(written):
         with open(path, "w") as fh:
             fh.write(svg)
-        written.append(path)
-    if not any(".truth." not in p for p in written):
-        raise ValueError(f"no attribution records found for pair {args.pair_id!r}")
-    for idx, path in enumerate(written):
         manifest.add_output(f"svg_{idx}", path)
     manifest.write(args.out + ".manifest.json")
     print(f"wrote {len(written)} SVG files with prefix {args.out}")
@@ -504,39 +480,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic compounds table")
     p.add_argument("--out", required=True, help="output compounds CSV")
-    p.add_argument("--scaffolds", type=int, default=1)
-    p.add_argument("--scaffolds-per-target", type=int, default=1,
+    p.add_argument("--scaffolds", type=int, default=SyntheticConfig.n_scaffolds)
+    p.add_argument("--scaffolds-per-target", type=int, default=SyntheticConfig.scaffolds_per_target,
                    help="group this many consecutive scaffolds under one target id")
-    p.add_argument("--decorations", type=int, default=60)
-    p.add_argument("--noise-sd", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--decorations", type=int, default=SyntheticConfig.n_decorations)
+    p.add_argument("--noise-sd", type=float, default=SyntheticConfig.noise_sd)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.seed)
     p.add_argument("--planted-out", default=None, help="also write planted effects JSON")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pairs", help="build cliff pairs from a compounds CSV")
     p.add_argument("--compounds", required=True)
     p.add_argument("--out", required=True, help="output pairs JSONL")
-    p.add_argument("--min-mcs-fraction", type=float, default=0.5)
-    p.add_argument("--min-delta", type=float, default=1.0)
-    p.add_argument("--min-pairs-per-target", type=int, default=50)
-    p.add_argument("--mcs-node-budget", type=int, default=200_000)
+    p.add_argument("--min-mcs-fraction", type=float, default=PairGenConfig.min_mcs_fraction)
+    p.add_argument("--min-delta", type=float, default=PairGenConfig.min_activity_delta)
+    p.add_argument("--min-pairs-per-target", type=int, default=PairGenConfig.min_pairs_per_target)
+    p.add_argument("--mcs-node-budget", type=int, default=PairGenConfig.mcs_node_budget)
     p.add_argument("--strict", action="store_true", help="fail on unparseable SMILES")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("train", help="train one loss variant on a pairs file")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--variant", choices=VARIANTS, default="n")
-    p.add_argument("--lam", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--node-loss-weight", type=float, default=1.0)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--max-epochs", type=int, default=300)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--min-delta", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--variant", choices=VARIANTS, default=LossConfig.variant)
+    p.add_argument("--lam", type=float, default=LossConfig.lam)
+    p.add_argument("--alpha", type=float, default=LossConfig.alpha)
+    p.add_argument("--node-loss-weight", type=float, default=LossConfig.node_loss_weight)
+    p.add_argument("--hidden-dim", type=int, default=ModelConfig.hidden_dim)
+    p.add_argument("--layers", type=int, default=ModelConfig.message_layers)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--min-delta", type=float, default=TrainConfig.min_delta)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--ratios", default="0.7,0.1,0.2")
     p.add_argument("--report", default=None, help="training report path (default: <out>.report.json)")
@@ -550,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("all", "test"), default="all")
     p.add_argument("--thresholds", default=None, help="comma-separated overlap thresholds")
     p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--ig-steps", type=int, default=64)
+    p.add_argument("--ig-steps", type=int, default=AttributionConfig.ig_steps)
     p.add_argument("--attributions-out", default=None, help="write attribution JSONL")
     p.set_defaults(func=cmd_eval)
 

@@ -17,7 +17,7 @@ test per attribution method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,16 +79,9 @@ class MetricReport:
     weighted_pcc: float
 
     def to_dict(self) -> dict:
-        return {
-            "targets": {
-                tid: {"rmse": m.rmse, "pcc": m.pcc, "n_pairs": m.n_pairs}
-                for tid, m in sorted(self.targets.items())
-            },
-            "avg_rmse": self.avg_rmse,
-            "avg_pcc": self.avg_pcc,
-            "weighted_rmse": self.weighted_rmse,
-            "weighted_pcc": self.weighted_pcc,
-        }
+        out = asdict(self)
+        out["targets"] = dict(sorted(out["targets"].items()))
+        return out
 
 
 def aggregate_metrics(per_target: dict[str, TargetMetrics]) -> MetricReport:
@@ -254,33 +247,11 @@ class DirectionReport:
     methods: dict[str, MethodSweep]
 
     def to_dict(self) -> dict:
-        out: dict = {"thresholds": list(self.thresholds), "methods": {}}
-        for name, sweep in sorted(self.methods.items()):
-            entry = {
-                "cells": [
-                    {
-                        "threshold": c.threshold,
-                        "n_pairs": c.n_pairs,
-                        "mean_a": c.mean_a,
-                        "mean_b": c.mean_b,
-                    }
-                    for c in sweep.cells
-                ],
-                "sweep_mean_a": sweep.sweep_mean_a,
-                "sweep_mean_b": sweep.sweep_mean_b,
-                "percent_change": sweep.percent_change,
-                "wilcoxon": None
-                if sweep.wilcoxon is None
-                else {
-                    "statistic": sweep.wilcoxon.statistic,
-                    "p_value": sweep.wilcoxon.p_value,
-                    "n_effective": sweep.wilcoxon.n_effective,
-                    "exact": sweep.wilcoxon.exact,
-                },
-                "degenerate_reason": sweep.degenerate_reason,
-            }
-            out["methods"][name] = entry
-        return out
+        methods = {
+            name: {k: v for k, v in asdict(sweep).items() if k != "method"}
+            for name, sweep in sorted(self.methods.items())
+        }
+        return {"thresholds": list(self.thresholds), "methods": methods}
 
 
 def collect_node_values(

@@ -25,7 +25,7 @@ with the remaining ``(1-alpha)*lam`` weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,12 +54,7 @@ class LossConfig:
             raise ValueError("node_loss_weight must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "lam": self.lam,
-            "alpha": self.alpha,
-            "node_loss_weight": self.node_loss_weight,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossConfig":

@@ -212,9 +212,6 @@ class ModelBinding:
             name: tape.leaf(p.value) for name, p in model.params.items()
         }
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self.leaves[name]
-
     def linear(self, prefix: str, x: Tensor) -> Tensor:
         return ad.linear(x, self.leaves[f"{prefix}.weight"], self.leaves[f"{prefix}.bias"])
 
@@ -375,11 +372,17 @@ def forward(
 
     Masks default to all-true. For a sequence of graphs each mask
     argument is a sequence with one mask (or None) per graph; one graph
-    takes its masks as they are and runs as a pack of one. The trace
-    holds one prediction and one pair of readouts per graph. Features
-    are read from each graph's cache.
+    takes its masks as they are and runs as a pack of one. One graph
+    without masks reads out over one all-true mask, once for both
+    readouts. The trace holds one prediction and one pair of readouts
+    per graph. Features are read from each graph's cache.
     """
     if isinstance(graph, MolecularGraph):
+        if common_mask is None and uncommon_mask is None:
+            mask = np.ones(graph.num_atoms, dtype=bool)
+            return forward_from_arrays(
+                model, *graph.features, mask, mask, train=train, tape=tape, binding=binding
+            )
         graph, common_mask, uncommon_mask = [graph], [common_mask], [uncommon_mask]
     graphs = list(graph)
     n = len(graphs)

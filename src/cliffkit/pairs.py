@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -256,12 +256,7 @@ class PairGenConfig:
             raise ValueError("min_pairs_per_target must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "min_mcs_fraction": self.min_mcs_fraction,
-            "min_activity_delta": self.min_activity_delta,
-            "min_pairs_per_target": self.min_pairs_per_target,
-            "mcs_node_budget": self.mcs_node_budget,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -476,13 +471,7 @@ class SyntheticConfig:
             raise ValueError("scaffolds_per_target must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_scaffolds": self.n_scaffolds,
-            "n_decorations": self.n_decorations,
-            "noise_sd": self.noise_sd,
-            "seed": self.seed,
-            "scaffolds_per_target": self.scaffolds_per_target,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -616,6 +605,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_jsonl(path: str, schema: str, manifest_hash: str, records) -> None:
+    """A JSON Lines file: a header line naming the schema and manifest hash, then one line per record."""
+    with open(path, "w") as fh:
+        fh.write(canonical_json({"schema": schema, "kind": "header", "manifest_hash": manifest_hash}))
+        fh.write("\n")
+        for record in records:
+            fh.write(canonical_json(record))
+            fh.write("\n")
+
+
 def jsonl_records(path: str):
     """Yield ``(where, record)`` for each non-blank line of a JSON Lines file.
 
@@ -686,12 +685,7 @@ def pair_from_record(record: dict) -> CliffPair:
 
 def write_pairs_jsonl(path: str, pairs, manifest_hash: str = "") -> None:
     """Header line with the manifest hash, then one record per pair."""
-    with open(path, "w") as fh:
-        fh.write(canonical_json({"schema": PAIR_SCHEMA, "kind": "header", "manifest_hash": manifest_hash}))
-        fh.write("\n")
-        for pair in pairs:
-            fh.write(canonical_json(pair_to_record(pair)))
-            fh.write("\n")
+    write_jsonl(path, PAIR_SCHEMA, manifest_hash, map(pair_to_record, pairs))
 
 
 def read_pairs_jsonl(path: str):

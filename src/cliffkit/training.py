@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,14 +82,7 @@ class TrainConfig:
             raise ValueError("learning_rate, max_epochs and patience must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_delta": self.min_delta,
-            "seed": self.seed,
-            "beta2": self.beta2,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -112,16 +105,9 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         # wall_time_s stays out: serialized reports must be rerun-stable.
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "best_val_rmse": self.best_val_rmse,
-            "train_loss": self.train_loss,
-            "val_rmse": self.val_rmse,
-            "stopped_early": self.stopped_early,
-        }
+        out = asdict(self)
+        del out["wall_time_s"]
+        return out
 
 
 class AdamState:
@@ -383,6 +369,8 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[MpnnModel, LossConfig, dict]:
             f"unsupported checkpoint schema {header.get('schema')!r}; "
             f"this build reads {CHECKPOINT_SCHEMA!r}"
         )
+    if (len(blob) - cursor) % 8:
+        raise CheckpointError(f"payload of {len(blob) - cursor} bytes is not a whole number of doubles")
     payload = np.frombuffer(blob[cursor:], dtype="<f8")
     if payload.size != header.get("payload_doubles"):
         raise CheckpointError(

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cliffkit.cli import file_sha256, main
-from cliffkit.pairs import read_compounds_csv, read_pairs_jsonl
-from cliffkit.training import load_checkpoint
+from cliffkit.cli import Manifest, file_sha256, main
+from cliffkit.losses import LossConfig
+from cliffkit.pairs import PairGenConfig, SyntheticConfig, read_compounds_csv, read_pairs_jsonl
+from cliffkit.training import TrainConfig, load_checkpoint
 
 TRAIN_FLAGS = [
     "--hidden-dim", "4",
@@ -204,6 +208,18 @@ def test_render_two_models_requires_model_ref(workspace, tmp_path, capsys):
     assert main(args + ["--model-ref", digest[:12]]) == 0
 
 
+def test_render_without_records_writes_nothing(workspace, tmp_path, capsys):
+    attr = tmp_path / "attr.jsonl"
+    attr.write_text('{"kind":"header","manifest_hash":"","schema":"attribution/1"}\n')
+    pairs, _ = read_pairs_jsonl(workspace["pairs"])
+    assert main([
+        "render", "--pairs", workspace["pairs"], "--attributions", str(attr),
+        "--pair-id", pairs[0].pair_id, "--out", str(tmp_path / "panel"),
+    ]) == 2
+    assert "no attribution records" in capsys.readouterr().err
+    assert not list(tmp_path.glob("panel.*"))
+
+
 def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     """The same commands in two directories produce identical bytes."""
     outputs = {}
@@ -236,6 +252,32 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert sorted(outputs["one"]) == sorted(outputs["two"])
     for path in outputs["one"]:
         assert outputs["one"][path] == outputs["two"][path], path
+
+
+def test_sample_data_regenerates_byte_identically(tmp_path, monkeypatch):
+    """data/README.md's command rebuilds the bundled table and its manifest."""
+    data = Path(__file__).resolve().parents[1] / "data"
+    lines = (data / "README.md").read_text().splitlines()
+    command = next(line for line in lines if line.startswith("cliffkit synth"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    assert main(shlex.split(command)[1:]) == 0
+    for name in ("sample_compounds.csv", "sample_compounds.csv.manifest.json"):
+        assert (tmp_path / "data" / name).read_bytes() == (data / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SyntheticConfig(), PairGenConfig(), LossConfig(), TrainConfig()],
+    ids=lambda c: type(c).__name__,
+)
+def test_manifest_hash_covers_every_config_field(config):
+    base = Manifest("run", config.to_dict()).hash
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        changed = "ucn" if isinstance(value, str) else value + 1 if isinstance(value, int) else value / 2
+        altered = dataclasses.replace(config, **{field.name: changed})
+        assert Manifest("run", altered.to_dict()).hash != base, field.name
 
 
 def test_eval_rerun_matches_bytes(workspace, tmp_path):

@@ -113,9 +113,9 @@ def _unfused_pair_loss(parts, config):
         return total
 
     def scalarized(trace, head, y):
-        b = trace.binding
-        return squared(ad.add(ad.matmul(getattr(trace, f"a_{head}"), b[f"scalarize_{head}.weight"]),
-                              b[f"scalarize_{head}.bias"]), y)
+        leaves = trace.binding.leaves
+        return squared(ad.add(ad.matmul(getattr(trace, f"a_{head}"), leaves[f"scalarize_{head}.weight"]),
+                              leaves[f"scalarize_{head}.bias"]), y)
 
     mse = summed([squared(trace.y_hat, y) for trace, y in parts])
     node = summed([scalarized(trace, "ucn", y) for trace, y in parts])

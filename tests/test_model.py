@@ -185,6 +185,22 @@ def test_one_forward_records_at_most_5_tape_entries():
     assert len(trace.tape._entries) <= 5
 
 
+def test_one_graph_without_masks_reads_out_once(monkeypatch):
+    # one all-true mask serves both readouts; given masks are read out one each
+    calls = []
+    real = ad._masked_means
+    monkeypatch.setattr(ad, "_masked_means", lambda *args: calls.append(1) or real(*args))
+    model = init_parameters(ModelConfig(hidden_dim=4), seed=0)
+    graph = parse_smiles("CC(=O)Oc1ccccc1")
+    trace = forward(model, graph, train=True)
+    assert len(calls) == 1
+    everywhere = np.ones(graph.num_atoms, dtype=bool)
+    masked = forward(model, graph, everywhere, everywhere.copy(), train=True)
+    assert len(calls) == 3
+    assert np.array_equal(trace.y_hat.value, masked.y_hat.value)
+    assert np.array_equal(trace.r_ucn.value, masked.r_ucn.value)
+
+
 # an aromatic ester with a half-common mask, and the bond-free "C" with an
 # all-false uncommon mask
 PACKED_GRAPHS = (parse_smiles("CC(=O)Oc1ccccc1"), parse_smiles("C"))

@@ -253,8 +253,9 @@ def test_checkpoint_rejects_corruption():
         load_checkpoint_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint_bytes(blob[:10])
-    with pytest.raises(CheckpointError, match="payload"):
-        load_checkpoint_bytes(blob[:-16])
+    for cut in (16, 3):  # whole doubles missing, and a payload of a partial double
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint_bytes(blob[:-cut])
     # flip the schema string inside the header
     bad = blob.replace(b"mpnn-ckpt/2", b"mpnn-ckpt/9")
     with pytest.raises(CheckpointError, match="schema"):
